@@ -36,7 +36,7 @@ mod watch;
 
 use args::Args;
 use mwsj_core::obs::{
-    compare, schema, to_folded, BenchSnapshot, CompareConfig, ExplainReport, Json, PhaseSnapshot,
+    compare, schema, to_folded, BenchSnapshot, CompareConfig, ExplainReport, PhaseSnapshot,
     DEFAULT_WALL_SLACK_MS, DEFAULT_WALL_TOLERANCE,
 };
 use mwsj_core::{
@@ -808,7 +808,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     if let Ok(snapshot) = BenchSnapshot::parse(&text) {
         return report_snapshot(path, &snapshot);
     }
-    let events = schema::validate_jsonl(&text).map_err(|(line, e)| {
+    let events = schema::parse_jsonl(&text).map_err(|(line, e)| {
         // A file cut off mid-write ends in a partial JSON line with no
         // trailing newline; point that out instead of a bare parse error.
         let last_line = text.trim_end().lines().count();
@@ -818,152 +818,104 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             format!("{path}:{line}: {e}")
         }
     })?;
-    println!("{path}: {events} events, schema OK");
+    println!("{path}: {} events, schema OK", events.len());
 
-    let mut improvements = 0usize;
-    let mut restarts_seen = 0usize;
-    let mut budget_exhausted = 0usize;
-    let mut cutoffs = 0usize;
-    let mut trace_points = 0usize;
-    let mut progress_points = 0usize;
-    let mut stalls_detected = 0usize;
-    let mut stall_aborts = 0usize;
-    let mut reseeds = 0usize;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let ev = Json::parse(line).map_err(|e| format!("{path}: {e}"))?;
-        match ev.get("event").and_then(Json::as_str) {
-            Some("run_start") => {
-                let algo = ev.get("algo").and_then(Json::as_str).unwrap_or("?");
-                let n_vars = ev.get("n_vars").and_then(Json::as_u64).unwrap_or(0);
-                let edges = ev.get("edges").and_then(Json::as_u64).unwrap_or(0);
-                let seed = ev.get("seed").and_then(Json::as_u64).unwrap_or(0);
-                let restarts = ev.get("restarts").and_then(Json::as_u64).unwrap_or(1);
+    for event in &events {
+        match event {
+            RunEvent::RunStart {
+                algo,
+                n_vars,
+                edges,
+                restarts,
+                seed,
+                budget_steps,
+                budget_secs,
+                ..
+            } => {
                 print!("run: {algo} on {n_vars} variables / {edges} edges, seed {seed}");
-                if restarts > 1 {
+                if *restarts > 1 {
                     print!(", {restarts} portfolio restarts");
                 }
-                if let Some(steps) = ev.get("budget_steps").and_then(Json::as_u64) {
+                if let Some(steps) = budget_steps {
                     print!(", budget {steps} steps");
                 }
-                if let Some(secs) = ev.get("budget_secs").and_then(Json::as_f64) {
+                if let Some(secs) = budget_secs {
                     print!(", budget {secs}s");
                 }
                 println!();
             }
-            Some("improvement") => improvements += 1,
-            Some("restart_end") => restarts_seen += 1,
-            Some("budget_exhausted") => budget_exhausted += 1,
-            Some("cutoff_fired") => cutoffs += 1,
-            Some("trace_point") => trace_points += 1,
-            Some("progress") => progress_points += 1,
-            Some("stall_detected") => stalls_detected += 1,
-            Some("stagnation_reseed") => reseeds += 1,
-            Some("stall_aborted") => {
-                stall_aborts += 1;
-                let steps = ev.get("steps").and_then(Json::as_u64).unwrap_or(0);
-                let secs = ev.get("elapsed_secs").and_then(Json::as_f64).unwrap_or(0.0);
-                println!(
-                    "stall abort: run stopped after {steps} steps ({secs:.3}s) without improvement"
-                );
-            }
-            Some("metrics") => {
-                if let Some(counters) = ev.get("counters").and_then(Json::as_object) {
-                    println!("counters:");
-                    for (name, value) in counters {
-                        println!("  {name:<24} {}", value.as_u64().unwrap_or(0));
-                    }
+            RunEvent::StallAborted {
+                steps,
+                elapsed_secs,
+                ..
+            } => println!(
+                "stall abort: run stopped after {steps} steps ({elapsed_secs:.3}s) without improvement"
+            ),
+            RunEvent::Metrics { snapshot } => {
+                println!("counters:");
+                for (name, value) in &snapshot.counters {
+                    println!("  {name:<24} {value}");
                 }
-                if let Some(histograms) = ev.get("histograms").and_then(Json::as_object) {
-                    for (name, h) in histograms {
-                        let count = h.get("count").and_then(Json::as_u64).unwrap_or(0);
-                        let min = h.get("min").and_then(Json::as_u64).unwrap_or(0);
-                        let max = h.get("max").and_then(Json::as_u64).unwrap_or(0);
-                        println!("histogram {name}: {count} samples in [{min}, {max}]");
-                    }
+                for (name, h) in &snapshot.histograms {
+                    println!(
+                        "histogram {name}: {} samples in [{}, {}]",
+                        h.count, h.min, h.max
+                    );
                 }
             }
-            Some("explain_report") => {
-                if let Some(report) = ExplainReport::from_json(&ev) {
-                    print_explain(&report);
+            RunEvent::ExplainReport { report } => print_explain(report),
+            RunEvent::ResourceReport { report } => {
+                println!("memory:");
+                for (name, bytes) in report.components() {
+                    println!("  {name:<24} {bytes:>12} bytes");
+                }
+                println!("  {:<24} {:>12} bytes", "total", report.total_bytes());
+            }
+            RunEvent::Phases { phases } => {
+                if !phases.is_empty() {
+                    println!("phases:");
+                }
+                for p in phases {
+                    let wall = p.wall.as_secs_f64();
+                    println!(
+                        "  {:<28} {:>6} calls {:>10} steps {wall:>9.4}s",
+                        p.path, p.calls, p.steps
+                    );
                 }
             }
-            Some("resource_report") => {
-                let total = ev.get("total_bytes").and_then(Json::as_u64).unwrap_or(0);
-                if let Some(components) = ev.get("components").and_then(Json::as_object) {
-                    println!("memory:");
-                    for (name, bytes) in components {
-                        println!("  {name:<24} {:>12} bytes", bytes.as_u64().unwrap_or(0));
-                    }
-                    println!("  {:<24} {total:>12} bytes", "total");
-                }
-            }
-            Some("phases") => {
-                if let Some(phases) = ev.get("phases").and_then(Json::as_array) {
-                    if !phases.is_empty() {
-                        println!("phases:");
-                    }
-                    for p in phases {
-                        let path = p.get("path").and_then(Json::as_str).unwrap_or("?");
-                        let calls = p.get("calls").and_then(Json::as_u64).unwrap_or(0);
-                        let steps = p.get("steps").and_then(Json::as_u64).unwrap_or(0);
-                        let wall = p.get("wall_secs").and_then(Json::as_f64).unwrap_or(0.0);
-                        println!("  {path:<28} {calls:>6} calls {steps:>10} steps {wall:>9.4}s");
-                    }
-                }
-            }
-            Some("run_end") => {
-                let violations = ev
-                    .get("best_violations")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                let similarity = ev
-                    .get("best_similarity")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                let steps = ev.get("steps").and_then(Json::as_u64).unwrap_or(0);
-                let accesses = ev.get("node_accesses").and_then(Json::as_u64).unwrap_or(0);
-                let secs = ev.get("elapsed_secs").and_then(Json::as_f64).unwrap_or(0.0);
-                let optimal = ev
-                    .get("proven_optimal")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(false);
-                println!(
-                    "result: similarity {similarity:.3} ({violations} violations{}), \
-                     {steps} steps, {accesses} node accesses, {secs:.3}s",
-                    if optimal { ", proven optimal" } else { "" }
-                );
-            }
+            RunEvent::RunEnd {
+                best_violations,
+                best_similarity,
+                steps,
+                node_accesses,
+                elapsed_secs,
+                proven_optimal,
+                ..
+            } => println!(
+                "result: similarity {best_similarity:.3} ({best_violations} violations{}), \
+                 {steps} steps, {node_accesses} node accesses, {elapsed_secs:.3}s",
+                if *proven_optimal { ", proven optimal" } else { "" }
+            ),
             _ => {}
         }
     }
-    let mut lifecycle = Vec::new();
-    if improvements > 0 {
-        lifecycle.push(format!("{improvements} improvements"));
-    }
-    if restarts_seen > 0 {
-        lifecycle.push(format!("{restarts_seen} restarts finished"));
-    }
-    if budget_exhausted > 0 {
-        lifecycle.push(format!("{budget_exhausted} budget exhaustions"));
-    }
-    if cutoffs > 0 {
-        lifecycle.push(format!("{cutoffs} cutoff firings"));
-    }
-    if trace_points > 0 {
-        lifecycle.push(format!("{trace_points} trace points"));
-    }
-    if progress_points > 0 {
-        lifecycle.push(format!("{progress_points} progress heartbeats"));
-    }
-    if stalls_detected > 0 {
-        lifecycle.push(format!("{stalls_detected} stalls detected"));
-    }
-    if stall_aborts > 0 {
-        lifecycle.push(format!("{stall_aborts} stall aborts"));
-    }
-    if reseeds > 0 {
-        lifecycle.push(format!("{reseeds} stagnation reseeds"));
-    }
+    let lifecycle: Vec<String> = [
+        ("improvement", "improvements"),
+        ("restart_end", "restarts finished"),
+        ("budget_exhausted", "budget exhaustions"),
+        ("cutoff_fired", "cutoff firings"),
+        ("trace_point", "trace points"),
+        ("progress", "progress heartbeats"),
+        ("stall_detected", "stalls detected"),
+        ("stall_aborted", "stall aborts"),
+        ("stagnation_reseed", "stagnation reseeds"),
+    ]
+    .iter()
+    .filter_map(|(kind, label)| {
+        let n = events.iter().filter(|e| e.kind() == *kind).count();
+        (n > 0).then(|| format!("{n} {label}"))
+    })
+    .collect();
     if !lifecycle.is_empty() {
         println!("events: {}", lifecycle.join(", "));
     }

@@ -405,3 +405,76 @@ fn solve_with_mixed_predicates_via_edge_list() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn sixty_four_bit_seeds_survive_the_metrics_round_trip() {
+    // Above 2^53: an f64-backed reader prints 12345678901234567168.
+    const MASTER: u64 = 12_345_678_901_234_567_890;
+    let dir = temp_dir("seed64");
+    let a = generate(&dir, "a.csv", 200, 0.3, 1);
+    let b = generate(&dir, "b.csv", 200, 0.3, 2);
+    let metrics = dir.join("run.jsonl");
+    let out = mwsj()
+        .args([
+            "solve",
+            "--data",
+            a.to_str().unwrap(),
+            "--data",
+            b.to_str().unwrap(),
+            "--query",
+            "chain",
+            "--iterations",
+            "500",
+            "--seed",
+            &MASTER.to_string(),
+            "--restarts",
+            "2",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let report = mwsj()
+        .args(["report", metrics.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(report.status.success());
+    let summary = String::from_utf8_lossy(&report.stdout);
+    assert!(summary.contains(&format!("seed {MASTER},")), "{summary}");
+
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    let restart_seeds: Vec<(u64, u64)> = mwsj_core::obs::schema::parse_jsonl(&text)
+        .unwrap()
+        .into_iter()
+        .filter_map(|event| match event {
+            mwsj_core::obs::RunEvent::RestartStart { restart, seed } => Some((restart, seed)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(restart_seeds.len(), 2, "{text}");
+    for (restart, seed) in restart_seeds {
+        assert_eq!(
+            seed,
+            mwsj_core::derive_seed(MASTER, restart as usize),
+            "restart {restart}"
+        );
+    }
+
+    let watch = mwsj()
+        .args(["watch", metrics.to_str().unwrap(), "--no-tty"])
+        .output()
+        .unwrap();
+    assert!(watch.status.success());
+    let log = String::from_utf8_lossy(&watch.stdout);
+    let header = log.lines().next().unwrap_or_default();
+    assert!(
+        header.starts_with("run_start ") && header.contains(&format!("seed {MASTER},")),
+        "{log}"
+    );
+}

@@ -213,9 +213,10 @@ mod tests {
         let a = build_explain_report(&inst);
         let b = build_explain_report(&inst);
         assert_eq!(a, b);
+        let line = |report: ExplainReport| mwsj_obs::RunEvent::ExplainReport { report }.to_json();
         assert_eq!(
-            format!("{{{}}}", a.to_json_fields()),
-            format!("{{{}}}", b.to_json_fields()),
+            line(a.clone()),
+            line(b),
             "serialisation must be byte-stable"
         );
         assert!(!a.has_observed());
@@ -317,9 +318,8 @@ mod tests {
             let expected_cost = g.predicted_cells_per_query * g.avg_occupancy;
             assert!((g.predicted_cost_per_query - expected_cost).abs() < 1e-9);
         }
-        let json = format!("{{{}}}", report.to_json_fields());
-        let parsed = ExplainReport::from_json(&mwsj_obs::Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed, report);
+        let event = mwsj_obs::RunEvent::ExplainReport { report };
+        assert_eq!(mwsj_obs::schema::parse_line(&event.to_json()), Ok(event));
 
         // R*-tree reports stay grid-free, keeping pinned snapshots
         // byte-identical.

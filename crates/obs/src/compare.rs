@@ -1,27 +1,38 @@
 //! Noise-aware comparison of two benchmark snapshots — the regression
 //! gate behind `mwsj bench compare`.
 //!
-//! The comparison treats the two metric families of a snapshot
-//! differently, following the workspace determinism contract:
+//! The gate is one generic walk over the two snapshots' JSON trees
+//! ([`BenchSnapshot::to_json`]), not one comparator per section. It
+//! follows the workspace determinism contract — everything a snapshot
+//! records is deterministic under its step budgets except an explicit
+//! list of measured fields:
 //!
-//! * **Deterministic fields** — work counters, `best_similarity`,
-//!   `auc_steps`, `steps_to` — must match *exactly* (counters) or to
-//!   floating-point round-off (derived values). Any drift means the
-//!   algorithms themselves changed and fails the gate outright.
-//! * **Measured fields** — the wall-clock medians — are compared with a
-//!   relative tolerance band (default +25%) widened by an absolute slack
-//!   (default +5ms): a candidate fails only when it exceeds both, so
-//!   sub-millisecond jitter on tiny workloads does not read as a
-//!   regression. Only the median of the recorded repetitions is gated;
-//!   per-rep values and the wall-axis AUC are reported for context but
-//!   never fail the comparison, since they are too noisy on shared CI
-//!   runners.
+//! * **Deterministic fields** — every field not listed below: work
+//!   counters, `best_similarity`, `auc_steps`, `steps_to`, the instance
+//!   metadata and seed, the anytime curve's `step`/`similarity`, the phase
+//!   `path`/`calls`/`steps`, and the whole `memory`, `cache` and `explain`
+//!   sections. Integers must match *exactly*, floats to round-off
+//!   (`FLOAT_EPS` = 1e-9), strings, booleans and `null` exactly. Any drift
+//!   means the algorithms themselves changed and fails the gate outright,
+//!   one finding per drifted field, named by its path.
+//! * **Measured fields** — [`MEASURED`]: the label and rep count, the
+//!   per-rep wall times, steps/sec, the wall-axis AUC, `time_to_ms`, and
+//!   the wall-clock members of the curve and the phase table. They are
+//!   too noisy on shared runners to gate and never fail the comparison.
+//! * **The wall-clock median** alone is gated, with a relative tolerance
+//!   band (default +25%) widened by an absolute slack (default +5ms): a
+//!   candidate fails only when it exceeds both, so sub-millisecond jitter
+//!   on tiny workloads does not read as a regression.
 //!
-//! Missing or extra (instance, algorithm) pairs fail the gate: a
-//! disappearing benchmark is a regression of coverage, not noise.
+//! Arrays of records are matched by identity ([`KEYED`]): suite
+//! instances by `instance`, their algorithms by `algo`, `memory` and
+//! `explain` records by `instance`, `cache` records by
+//! (`instance`, `algo`). Missing and extra records fail — a disappearing
+//! benchmark is a regression of coverage, not noise. Every other array is
+//! compared by position.
 
-use crate::explain::ExplainReport;
-use crate::snapshot::{AlgoRecord, BenchSnapshot};
+use crate::json::Json;
+use crate::snapshot::BenchSnapshot;
 use std::fmt::Write as _;
 
 /// Relative wall-clock slowdown tolerated by default (0.25 = +25%).
@@ -146,6 +157,31 @@ impl CompareReport {
     }
 }
 
+/// Arrays whose elements are records matched by identity: the array's
+/// schema path (`[]` marks "any element") and the identity fields.
+pub const KEYED: &[(&str, &[&str])] = &[
+    ("suite", &["instance"]),
+    ("suite[].algos", &["algo"]),
+    ("memory", &["instance"]),
+    ("cache", &["instance", "algo"]),
+    ("explain", &["instance"]),
+];
+
+/// Measured fields, by schema path: reported nowhere and never gated.
+pub const MEASURED: &[&str] = &[
+    "label",
+    "reps",
+    "suite[].algos[].wall_ms_reps",
+    "suite[].algos[].steps_per_sec",
+    "suite[].algos[].auc_wall",
+    "suite[].algos[].time_to_ms",
+    "suite[].algos[].curve[].wall_ms",
+    "suite[].algos[].phases[].wall_secs",
+];
+
+/// The one measured field that is gated, by the wall tolerance band.
+const WALL_MEDIAN: &str = "suite[].algos[].wall_ms_median";
+
 /// Compares `candidate` against `baseline` under `cfg` (see module docs
 /// for the semantics).
 pub fn compare(
@@ -185,520 +221,201 @@ pub fn compare(
             }
         }
     }
-    for base_inst in &baseline.instances {
-        let Some(cand_inst) = candidate.instance(&base_inst.name) else {
-            report.push(
-                &base_inst.name,
-                Verdict::Fail,
-                "instance missing from candidate snapshot".into(),
-            );
-            continue;
-        };
-        if (cand_inst.n_vars, cand_inst.cardinality, &cand_inst.shape)
-            != (base_inst.n_vars, base_inst.cardinality, &base_inst.shape)
-        {
-            report.push(
-                &base_inst.name,
-                Verdict::Fail,
-                format!(
-                    "workload metadata drifted: baseline {}×n{} '{}', candidate {}×n{} '{}'",
-                    base_inst.cardinality,
-                    base_inst.n_vars,
-                    base_inst.shape,
-                    cand_inst.cardinality,
-                    cand_inst.n_vars,
-                    cand_inst.shape
-                ),
-            );
-        }
-        for base_algo in &base_inst.algos {
-            let scope = format!("{}/{}", base_inst.name, base_algo.algo);
-            let Some(cand_algo) = cand_inst.algos.iter().find(|a| a.algo == base_algo.algo) else {
-                report.push(
-                    &scope,
-                    Verdict::Fail,
-                    "algorithm missing from candidate snapshot".into(),
-                );
-                continue;
-            };
-            compare_algo(&mut report, &scope, base_algo, cand_algo, cfg);
-        }
-        for cand_algo in &cand_inst.algos {
-            if !base_inst.algos.iter().any(|a| a.algo == cand_algo.algo) {
-                report.push(
-                    &format!("{}/{}", base_inst.name, cand_algo.algo),
-                    Verdict::Fail,
-                    "algorithm not present in baseline (re-snapshot the baseline)".into(),
-                );
-            }
-        }
+    let mut walk = Walk {
+        cfg,
+        report: &mut report,
+    };
+    let mut drift = Vec::new();
+    walk.value(
+        "",
+        "",
+        "",
+        &baseline.to_json(),
+        &candidate.to_json(),
+        &mut drift,
+    );
+    for message in drift {
+        report.push("", Verdict::Fail, message);
     }
-    for cand_inst in &candidate.instances {
-        if baseline.instance(&cand_inst.name).is_none() {
-            report.push(
-                &cand_inst.name,
-                Verdict::Fail,
-                "instance not present in baseline (re-snapshot the baseline)".into(),
-            );
-        }
-    }
-    compare_memory(&mut report, baseline, candidate);
-    compare_cache(&mut report, baseline, candidate);
-    compare_explain(&mut report, baseline, candidate);
     report
 }
 
-/// Gates the `memory` section: byte counts are deterministic
-/// (`MemoryFootprint` contract), so every component must match exactly.
-/// Records present on one side only fail, like missing algorithm records.
-fn compare_memory(report: &mut CompareReport, baseline: &BenchSnapshot, candidate: &BenchSnapshot) {
-    for base in &baseline.memory {
-        let scope = format!("{}/memory", base.instance);
-        let Some(cand) = candidate
-            .memory
-            .iter()
-            .find(|m| m.instance == base.instance)
-        else {
-            report.push(
-                &scope,
-                Verdict::Fail,
-                "memory record missing from candidate snapshot".into(),
-            );
-            continue;
-        };
-        if base == cand {
-            report.push(
-                &scope,
-                Verdict::Ok,
-                format!(
-                    "memory identical ({} components, {} bytes)",
-                    base.components.len(),
-                    base.total_bytes
-                ),
-            );
-        } else {
-            let mut drift = Vec::new();
-            for (name, base_v) in &base.components {
-                match cand.components.iter().find(|(n, _)| n == name) {
-                    Some((_, cand_v)) if cand_v == base_v => {}
-                    Some((_, cand_v)) => drift.push(format!("{name} {base_v} -> {cand_v}")),
-                    None => drift.push(format!("{name} {base_v} -> <absent>")),
-                }
-            }
-            for (name, cand_v) in &cand.components {
-                if !base.components.iter().any(|(n, _)| n == name) {
-                    drift.push(format!("{name} <absent> -> {cand_v}"));
-                }
-            }
-            if base.total_bytes != cand.total_bytes {
-                drift.push(format!(
-                    "total_bytes {} -> {}",
-                    base.total_bytes, cand.total_bytes
-                ));
-            }
-            report.push(
-                &scope,
-                Verdict::Fail,
-                format!("memory drift: {}", drift.join(", ")),
-            );
-        }
-    }
-    for cand in &candidate.memory {
-        if !baseline.memory.iter().any(|m| m.instance == cand.instance) {
-            report.push(
-                &format!("{}/memory", cand.instance),
-                Verdict::Fail,
-                "memory record not present in baseline (re-snapshot the baseline)".into(),
-            );
-        }
-    }
-}
-
-/// Gates the `cache` section: hit/miss/invalidation counters are
-/// deterministic work counters, compared with exact equality like every
-/// other counter. Records present on one side only fail.
-fn compare_cache(report: &mut CompareReport, baseline: &BenchSnapshot, candidate: &BenchSnapshot) {
-    for base in &baseline.cache {
-        let scope = format!("{}/{}/cache", base.instance, base.algo);
-        let Some(cand) = candidate
-            .cache
-            .iter()
-            .find(|c| c.instance == base.instance && c.algo == base.algo)
-        else {
-            report.push(
-                &scope,
-                Verdict::Fail,
-                "cache record missing from candidate snapshot".into(),
-            );
-            continue;
-        };
-        if base == cand {
-            report.push(
-                &scope,
-                Verdict::Ok,
-                format!(
-                    "cache counters identical ({} hits, {} misses)",
-                    base.hits, base.misses
-                ),
-            );
-        } else {
-            let mut drift = Vec::new();
-            for (name, base_v, cand_v) in [
-                ("hits", base.hits, cand.hits),
-                ("misses", base.misses, cand.misses),
-                (
-                    "invalidations_reassign",
-                    base.invalidations_reassign,
-                    cand.invalidations_reassign,
-                ),
-                (
-                    "invalidations_penalty",
-                    base.invalidations_penalty,
-                    cand.invalidations_penalty,
-                ),
-                ("bytes", base.bytes, cand.bytes),
-            ] {
-                if base_v != cand_v {
-                    drift.push(format!("{name} {base_v} -> {cand_v}"));
-                }
-            }
-            report.push(
-                &scope,
-                Verdict::Fail,
-                format!("cache counter drift: {}", drift.join(", ")),
-            );
-        }
-    }
-    for cand in &candidate.cache {
-        if !baseline
-            .cache
-            .iter()
-            .any(|c| c.instance == cand.instance && c.algo == cand.algo)
-        {
-            report.push(
-                &format!("{}/{}/cache", cand.instance, cand.algo),
-                Verdict::Fail,
-                "cache record not present in baseline (re-snapshot the baseline)".into(),
-            );
-        }
-    }
-}
-
-/// Gates the `explain` section: the snapshot stores the *estimate side*
-/// only — selectivity models, tree quality, predicted accesses — which is
-/// a pure function of the pinned instance, so every field must match
-/// exactly (integers) or to floating-point round-off (derived floats).
-/// Records present on one side only fail, like missing algorithm records.
-fn compare_explain(
-    report: &mut CompareReport,
-    baseline: &BenchSnapshot,
-    candidate: &BenchSnapshot,
-) {
-    for base in &baseline.explain {
-        let scope = format!("{}/explain", base.instance);
-        let Some(cand) = candidate
-            .explain
-            .iter()
-            .find(|e| e.instance == base.instance)
-        else {
-            report.push(
-                &scope,
-                Verdict::Fail,
-                "explain record missing from candidate snapshot".into(),
-            );
-            continue;
-        };
-        let drift = explain_drift(&base.report, &cand.report);
-        if drift.is_empty() {
-            report.push(
-                &scope,
-                Verdict::Ok,
-                format!(
-                    "explain identical ({} model, {} edges, {} vars)",
-                    base.report.model,
-                    base.report.edges.len(),
-                    base.report.vars.len()
-                ),
-            );
-        } else {
-            report.push(
-                &scope,
-                Verdict::Fail,
-                format!("explain drift: {}", drift.join(", ")),
-            );
-        }
-    }
-    for cand in &candidate.explain {
-        if !baseline.explain.iter().any(|e| e.instance == cand.instance) {
-            report.push(
-                &format!("{}/explain", cand.instance),
-                Verdict::Fail,
-                "explain record not present in baseline (re-snapshot the baseline)".into(),
-            );
-        }
-    }
-}
-
-/// Field-by-field drift between two explain reports: integers exact,
-/// floats to [`FLOAT_EPS`]. Returns one message per drifted field.
-fn explain_drift(base: &ExplainReport, cand: &ExplainReport) -> Vec<String> {
-    let mut drift = Vec::new();
-    let f = |drift: &mut Vec<String>, name: &str, b: f64, c: f64| {
-        if (b - c).abs() > FLOAT_EPS {
-            drift.push(format!("{name} {b} -> {c}"));
-        }
-    };
-    let fo = |drift: &mut Vec<String>, name: &str, b: Option<f64>, c: Option<f64>| match (b, c) {
-        (Some(b), Some(c)) if (b - c).abs() <= FLOAT_EPS => {}
-        (None, None) => {}
-        _ => drift.push(format!("{name} {b:?} -> {c:?}")),
-    };
-    let fv = |drift: &mut Vec<String>, name: &str, b: &[f64], c: &[f64]| {
-        if b.len() != c.len() || b.iter().zip(c).any(|(x, y)| (x - y).abs() > FLOAT_EPS) {
-            drift.push(format!("{name} {b:?} -> {c:?}"));
-        }
-    };
-    if base.model != cand.model {
-        drift.push(format!("model {:?} -> {:?}", base.model, cand.model));
-    }
-    f(
-        &mut drift,
-        "expected_solutions",
-        base.expected_solutions,
-        cand.expected_solutions,
-    );
-    if base.edges.len() != cand.edges.len() {
-        drift.push(format!(
-            "edge count {} -> {}",
-            base.edges.len(),
-            cand.edges.len()
-        ));
-    } else {
-        for (b, c) in base.edges.iter().zip(&cand.edges) {
-            let tag = format!("edge({},{})", b.a, b.b);
-            if (b.a, b.b, &b.predicate) != (c.a, c.b, &c.predicate) {
-                drift.push(format!(
-                    "{tag} identity {:?} -> ({},{}) {:?}",
-                    b.predicate, c.a, c.b, c.predicate
-                ));
-                continue;
-            }
-            f(
-                &mut drift,
-                &format!("{tag}.estimated_selectivity"),
-                b.estimated_selectivity,
-                c.estimated_selectivity,
-            );
-            fo(
-                &mut drift,
-                &format!("{tag}.observed_selectivity"),
-                b.observed_selectivity,
-                c.observed_selectivity,
-            );
-            if b.observed_pairs != c.observed_pairs {
-                drift.push(format!(
-                    "{tag}.observed_pairs {:?} -> {:?}",
-                    b.observed_pairs, c.observed_pairs
-                ));
-            }
-        }
-    }
-    if base.vars.len() != cand.vars.len() {
-        drift.push(format!(
-            "var count {} -> {}",
-            base.vars.len(),
-            cand.vars.len()
-        ));
-    } else {
-        for (b, c) in base.vars.iter().zip(&cand.vars) {
-            let tag = format!("var{}", b.var);
-            if (b.var, b.cardinality, b.observed_accesses)
-                != (c.var, c.cardinality, c.observed_accesses)
-                || b.accesses_per_level != c.accesses_per_level
-            {
-                drift.push(format!("{tag} integer fields drifted"));
-            }
-            f(
-                &mut drift,
-                &format!("{tag}.avg_extent"),
-                b.avg_extent,
-                c.avg_extent,
-            );
-            f(
-                &mut drift,
-                &format!("{tag}.expected_window_hits"),
-                b.expected_window_hits,
-                c.expected_window_hits,
-            );
-            f(
-                &mut drift,
-                &format!("{tag}.predicted_accesses_per_query"),
-                b.predicted_accesses_per_query,
-                c.predicted_accesses_per_query,
-            );
-            if (b.tree.height, b.tree.nodes) != (c.tree.height, c.tree.nodes) {
-                drift.push(format!(
-                    "{tag}.tree {}l/{}n -> {}l/{}n",
-                    b.tree.height, b.tree.nodes, c.tree.height, c.tree.nodes
-                ));
-            }
-            f(
-                &mut drift,
-                &format!("{tag}.tree.avg_fill"),
-                b.tree.avg_fill,
-                c.tree.avg_fill,
-            );
-            fv(
-                &mut drift,
-                &format!("{tag}.tree.fill_per_level"),
-                &b.tree.fill_per_level,
-                &c.tree.fill_per_level,
-            );
-            fv(
-                &mut drift,
-                &format!("{tag}.tree.overlap_factor_per_level"),
-                &b.tree.overlap_factor_per_level,
-                &c.tree.overlap_factor_per_level,
-            );
-            fv(
-                &mut drift,
-                &format!("{tag}.tree.dead_space_per_level"),
-                &b.tree.dead_space_per_level,
-                &c.tree.dead_space_per_level,
-            );
-            fv(
-                &mut drift,
-                &format!("{tag}.tree.perimeter_per_level"),
-                &b.tree.perimeter_per_level,
-                &c.tree.perimeter_per_level,
-            );
-        }
-    }
-    if base.observed_node_accesses != cand.observed_node_accesses {
-        drift.push(format!(
-            "observed_node_accesses {:?} -> {:?}",
-            base.observed_node_accesses, cand.observed_node_accesses
-        ));
-    }
-    drift
-}
-
-fn compare_algo(
-    report: &mut CompareReport,
-    scope: &str,
-    base: &AlgoRecord,
-    cand: &AlgoRecord,
+/// The generic tree walk. `schema` is the path with array elements as
+/// `[]` (what [`KEYED`] and [`MEASURED`] name); `field` is the path inside
+/// the current record, with keys and indices spelled out, for messages.
+struct Walk<'a> {
     cfg: CompareConfig,
-) {
-    // Deterministic counters: exact or fail.
-    let mut counter_drift = Vec::new();
-    for (name, base_v) in &base.counters {
-        match cand.counter(name) {
-            Some(cand_v) if cand_v == *base_v => {}
-            Some(cand_v) => counter_drift.push(format!("{name} {base_v} -> {cand_v}")),
-            None => counter_drift.push(format!("{name} {base_v} -> <absent>")),
-        }
-    }
-    for (name, cand_v) in &cand.counters {
-        if base.counter(name).is_none() {
-            counter_drift.push(format!("{name} <absent> -> {cand_v}"));
-        }
-    }
-    if counter_drift.is_empty() {
-        report.push(
-            scope,
-            Verdict::Ok,
-            format!("counters identical ({})", summarize_counters(base)),
-        );
-    } else {
-        report.push(
-            scope,
-            Verdict::Fail,
-            format!("deterministic counter drift: {}", counter_drift.join(", ")),
-        );
-    }
+    report: &'a mut CompareReport,
+}
 
-    // Derived deterministic floats: round-off tolerance only.
-    for (name, base_v, cand_v) in [
-        (
-            "best_similarity",
-            base.best_similarity,
-            cand.best_similarity,
-        ),
-        ("auc_steps", base.auc_steps, cand.auc_steps),
-    ] {
-        if (base_v - cand_v).abs() > FLOAT_EPS {
-            report.push(
-                scope,
-                Verdict::Fail,
-                format!("{name} drifted: {base_v} -> {cand_v}"),
-            );
+impl Walk<'_> {
+    /// Compares one keyed record and reports its verdict under `scope`.
+    fn record(&mut self, scope: &str, schema: &str, base: &Json, cand: &Json) {
+        let mut drift = Vec::new();
+        self.value(scope, schema, "", base, cand, &mut drift);
+        if drift.is_empty() {
+            self.report
+                .push(scope, Verdict::Ok, "deterministic fields identical".into());
         }
-    }
-    for (tau, base_v) in &base.steps_to {
-        let cand_v = cand
-            .steps_to
-            .iter()
-            .find(|(t, _)| t == tau)
-            .map(|(_, v)| *v);
-        if cand_v != Some(*base_v) {
-            report.push(
-                scope,
-                Verdict::Fail,
-                format!(
-                    "steps_to[{tau}] drifted: {} -> {}",
-                    fmt_opt(*base_v),
-                    cand_v.map_or("<absent>".into(), fmt_opt)
-                ),
-            );
+        for message in drift {
+            self.report.push(scope, Verdict::Fail, message);
         }
     }
 
-    // Measured wall clock: median within the tolerance band. The band is
-    // relative-OR-absolute — a candidate fails only when it exceeds both
-    // `baseline * (1 + tolerance)` and `baseline + slack`, so sub-slack
-    // jitter on tiny workloads never trips the gate.
-    let (b, c) = (base.wall_ms_median, cand.wall_ms_median);
-    if b > 0.0 {
-        let ratio = c / b;
-        let msg = format!(
-            "wall median {b:.2}ms -> {c:.2}ms ({:+.1}%, tolerance +{:.0}% or +{:.1}ms)",
-            (ratio - 1.0) * 100.0,
-            cfg.wall_tolerance * 100.0,
-            cfg.wall_slack_ms
-        );
-        let verdict = if c > b.max(WALL_NOISE_FLOOR_MS) * (1.0 + cfg.wall_tolerance)
-            && c > b + cfg.wall_slack_ms
-        {
-            Verdict::Fail
-        } else {
-            Verdict::Ok
+    fn value(
+        &mut self,
+        scope: &str,
+        schema: &str,
+        field: &str,
+        base: &Json,
+        cand: &Json,
+        drift: &mut Vec<String>,
+    ) {
+        if MEASURED.contains(&schema) {
+            return;
+        }
+        if schema == WALL_MEDIAN {
+            self.wall(scope, base, cand);
+            return;
+        }
+        match (base, cand) {
+            (Json::Obj(b), Json::Obj(c)) => {
+                for (key, bv) in b {
+                    let (sub, path) = (join(schema, key), join(field, key));
+                    match c.iter().find(|(k, _)| k == key) {
+                        Some((_, cv)) => self.value(scope, &sub, &path, bv, cv, drift),
+                        None if MEASURED.contains(&sub.as_str()) => {}
+                        None => drift.push(format!("{path} {} -> <absent>", show(bv))),
+                    }
+                }
+                for (key, cv) in c {
+                    let sub = join(schema, key);
+                    if !b.iter().any(|(k, _)| k == key) && !MEASURED.contains(&sub.as_str()) {
+                        drift.push(format!("{} <absent> -> {}", join(field, key), show(cv)));
+                    }
+                }
+            }
+            (Json::Arr(b), Json::Arr(c)) => {
+                let element = format!("{schema}[]");
+                if let Some((_, keys)) = KEYED.iter().find(|(path, _)| *path == schema) {
+                    let prefix = if scope.is_empty() {
+                        String::new()
+                    } else {
+                        format!("{scope}.")
+                    };
+                    self.keyed(&format!("{prefix}{field}"), &element, keys, b, c);
+                } else if b.len() != c.len() {
+                    drift.push(format!("{field} {} -> {}", show(base), show(cand)));
+                } else {
+                    for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
+                        self.value(scope, &element, &format!("{field}[{i}]"), bv, cv, drift);
+                    }
+                }
+            }
+            (Json::U64(_) | Json::Num(_), Json::U64(_) | Json::Num(_)) => {
+                let drifted = match (base, cand) {
+                    (Json::U64(b), Json::U64(c)) => b != c,
+                    _ => {
+                        let (b, c) = (base.as_f64().unwrap_or(0.0), cand.as_f64().unwrap_or(0.0));
+                        (b - c).abs() > FLOAT_EPS
+                    }
+                };
+                if drifted {
+                    drift.push(format!("{field} {} -> {}", show(base), show(cand)));
+                }
+            }
+            _ if base == cand => {}
+            _ => drift.push(format!("{field} {} -> {}", show(base), show(cand))),
+        }
+    }
+
+    /// Matches the records of two keyed arrays by their identity fields;
+    /// records present on one side only fail.
+    fn keyed(&mut self, array: &str, element: &str, keys: &[&str], base: &[Json], cand: &[Json]) {
+        let identity = |record: &Json| {
+            keys.iter()
+                .map(|k| record.get(k).and_then(Json::as_str).unwrap_or("?"))
+                .collect::<Vec<_>>()
+                .join("/")
         };
-        report.push(scope, verdict, msg);
-    } else {
-        report.push(
-            scope,
-            Verdict::Ok,
-            format!("wall median {b:.2}ms -> {c:.2}ms (baseline too small to gate)"),
-        );
+        for b in base {
+            let id = identity(b);
+            let scope = format!("{array}[{id}]");
+            match cand.iter().find(|c| identity(c) == id) {
+                Some(c) => self.record(&scope, element, b, c),
+                None => self.report.push(
+                    &scope,
+                    Verdict::Fail,
+                    "missing from candidate snapshot".into(),
+                ),
+            }
+        }
+        for c in cand {
+            let id = identity(c);
+            if !base.iter().any(|b| identity(b) == id) {
+                self.report.push(
+                    &format!("{array}[{id}]"),
+                    Verdict::Fail,
+                    "not present in baseline (re-snapshot the baseline)".into(),
+                );
+            }
+        }
+    }
+
+    /// Measured wall clock: median within the tolerance band. The band is
+    /// relative-OR-absolute — a candidate fails only when it exceeds both
+    /// `baseline * (1 + tolerance)` and `baseline + slack`, so sub-slack
+    /// jitter on tiny workloads never trips the gate.
+    fn wall(&mut self, scope: &str, base: &Json, cand: &Json) {
+        let (b, c) = (base.as_f64().unwrap_or(0.0), cand.as_f64().unwrap_or(0.0));
+        if b > 0.0 {
+            let cfg = self.cfg;
+            let msg = format!(
+                "wall median {b:.2}ms -> {c:.2}ms ({:+.1}%, tolerance +{:.0}% or +{:.1}ms)",
+                (c / b - 1.0) * 100.0,
+                cfg.wall_tolerance * 100.0,
+                cfg.wall_slack_ms
+            );
+            let verdict = if c > b.max(WALL_NOISE_FLOOR_MS) * (1.0 + cfg.wall_tolerance)
+                && c > b + cfg.wall_slack_ms
+            {
+                Verdict::Fail
+            } else {
+                Verdict::Ok
+            };
+            self.report.push(scope, verdict, msg);
+        } else {
+            self.report.push(
+                scope,
+                Verdict::Ok,
+                format!("wall median {b:.2}ms -> {c:.2}ms (baseline too small to gate)"),
+            );
+        }
     }
 }
 
-fn fmt_opt(v: Option<u64>) -> String {
-    v.map_or("never".into(), |x| x.to_string())
+fn join(prefix: &str, key: &str) -> String {
+    if prefix.is_empty() {
+        key.to_string()
+    } else {
+        format!("{prefix}.{key}")
+    }
 }
 
-fn summarize_counters(algo: &AlgoRecord) -> String {
-    let steps = algo.counter("steps").unwrap_or(0);
-    let accesses = algo.counter("node_accesses").unwrap_or(0);
-    format!("{steps} steps, {accesses} node accesses")
+/// A value as drift messages show it; arrays by length only.
+fn show(value: &Json) -> String {
+    match value {
+        Json::Arr(items) => format!("[{} items]", items.len()),
+        Json::Str(s) => format!("{s:?}"),
+        other => other.dump(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::curve::AnytimeCurve;
-    use crate::snapshot::{InstanceRecord, TAUS};
+    use crate::snapshot::{AlgoRecord, InstanceRecord, TAUS};
 
     fn record(algo: &str, steps: u64, wall_ms: f64) -> AlgoRecord {
         let mut curve = AnytimeCurve::new();
@@ -749,7 +466,9 @@ mod tests {
         let report = compare(&a, &b, CompareConfig::default());
         assert!(!report.passed());
         assert!(
-            report.render().contains("counter drift"),
+            report
+                .render()
+                .contains("suite[chain-4].algos[ILS]: counters.steps 100 -> 101"),
             "{}",
             report.render()
         );
@@ -881,13 +600,23 @@ mod tests {
         drifted.auc_steps += 0.01;
         let report = compare(&a, &snapshot("b", vec![drifted]), CompareConfig::default());
         assert!(!report.passed());
-        assert!(report.render().contains("auc_steps"), "{}", report.render());
+        assert!(
+            report
+                .render()
+                .contains("suite[chain-4].algos[ILS]: auc_steps 0.75 -> 0.76"),
+            "{}",
+            report.render()
+        );
 
         let mut drifted = record("ILS", 100, 10.0);
         drifted.steps_to = TAUS.iter().map(|&t| (format!("{t:.2}"), None)).collect();
         let report = compare(&a, &snapshot("b", vec![drifted]), CompareConfig::default());
         assert!(!report.passed());
-        assert!(report.render().contains("steps_to"), "{}", report.render());
+        assert!(
+            report.render().contains("steps_to.0.50 0 -> null"),
+            "{}",
+            report.render()
+        );
     }
 
     fn keyed_snapshot(label: &str, name: &str, n_vars: u64, shape: &str) -> BenchSnapshot {
@@ -965,9 +694,12 @@ mod tests {
         let report = compare(&a, &b, CompareConfig::default());
         assert!(report.passed(), "{}", report.render());
         let rendered = report.render();
-        assert!(rendered.contains("memory identical"), "{rendered}");
-        assert!(rendered.contains("cache counters identical"), "{rendered}");
-        assert!(rendered.contains("explain identical"), "{rendered}");
+        for scope in ["memory[chain-4]", "cache[chain-4/ILS]", "explain[chain-4]"] {
+            assert!(
+                rendered.contains(&format!("ok    {scope}: deterministic fields identical")),
+                "{rendered}"
+            );
+        }
     }
 
     #[test]
@@ -980,7 +712,7 @@ mod tests {
         assert!(
             report
                 .render()
-                .contains("explain drift: edge(0,1).estimated_selectivity"),
+                .contains("explain[chain-4]: edges[0].estimated_selectivity 0.04 -> 0.041"),
             "{}",
             report.render()
         );
@@ -1002,7 +734,7 @@ mod tests {
         assert!(
             report
                 .render()
-                .contains("var1.tree.overlap_factor_per_level"),
+                .contains("vars[1].tree.overlap_factor_per_level[0] 0.4 -> 0.5"),
             "{}",
             report.render()
         );
@@ -1018,7 +750,8 @@ mod tests {
         assert!(!report.passed());
         let rendered = report.render();
         assert!(
-            rendered.contains("memory drift") && rendered.contains("rtree.var000 4096 -> 4097"),
+            rendered.contains("memory[chain-4]: components.rtree.var000 4096 -> 4097")
+                && rendered.contains("memory[chain-4]: total_bytes 4096 -> 4097"),
             "{rendered}"
         );
     }
@@ -1033,7 +766,7 @@ mod tests {
         assert!(
             report
                 .render()
-                .contains("cache counter drift: hits 10 -> 11"),
+                .contains("cache[chain-4/ILS]: hits 10 -> 11"),
             "{}",
             report.render()
         );
@@ -1064,9 +797,59 @@ mod tests {
         let report = compare(&a, &b, CompareConfig::default());
         assert!(!report.passed());
         assert!(
-            report.render().contains("workload metadata drifted"),
+            report.render().contains("suite[chain-4]: n_vars 4 -> 5"),
             "{}",
             report.render()
         );
+    }
+
+    fn with_phase(mut algo: AlgoRecord) -> AlgoRecord {
+        algo.phases = vec![crate::timer::PhaseSnapshot {
+            path: "ils".into(),
+            calls: 1,
+            steps: 100,
+            wall: std::time::Duration::from_millis(9),
+        }];
+        algo
+    }
+
+    #[test]
+    fn measured_fields_are_never_gated() {
+        let a = snapshot("a", vec![with_phase(record("ILS", 100, 10.0))]);
+        let mut b = snapshot("b", vec![with_phase(record("ILS", 100, 10.0))]);
+        b.reps = 5;
+        let algo = &mut b.instances[0].algos[0];
+        algo.wall_ms_reps = vec![1.0, 2.0, 3.0];
+        algo.steps_per_sec *= 7.0;
+        algo.auc_wall = 0.1;
+        algo.time_to_ms = TAUS.iter().map(|&t| (format!("{t:.2}"), None)).collect();
+        for point in &mut algo.curve {
+            point.wall_ms += 40.0;
+        }
+        algo.phases[0].wall *= 3;
+        let report = compare(&a, &b, CompareConfig::default());
+        assert!(report.passed(), "{}", report.render());
+    }
+
+    #[test]
+    fn seed_curve_and_phase_counts_are_gated() {
+        let a = snapshot("a", vec![with_phase(record("ILS", 100, 10.0))]);
+        let mut b = snapshot("b", vec![with_phase(record("ILS", 100, 10.0))]);
+        b.instances[0].seed = 2;
+        let algo = &mut b.instances[0].algos[0];
+        algo.curve[1].step += 1;
+        algo.curve[1].similarity = 0.9;
+        algo.phases[0].calls = 2;
+        let report = compare(&a, &b, CompareConfig::default());
+        let rendered = report.render();
+        assert_eq!(report.failures(), 4, "{rendered}");
+        for finding in [
+            "suite[chain-4]: seed 1 -> 2",
+            "suite[chain-4].algos[ILS]: curve[1].step 50 -> 51",
+            "suite[chain-4].algos[ILS]: curve[1].similarity 1 -> 0.9",
+            "suite[chain-4].algos[ILS]: phases[0].calls 1 -> 2",
+        ] {
+            assert!(rendered.contains(finding), "{finding}\n{rendered}");
+        }
     }
 }

@@ -21,7 +21,9 @@
 //! algorithms whose per-step access cost is roughly constant.
 
 use crate::events::RunEvent;
+use crate::wire::wire_record;
 
+wire_record! { nested
 /// One point of an anytime curve: the best similarity known after `step`
 /// steps / `wall_ms` milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,6 +34,7 @@ pub struct CurvePoint {
     pub wall_ms: f64,
     /// Best similarity from this point on (until the next point).
     pub similarity: f64,
+}
 }
 
 /// A monotone similarity-vs-cost curve plus the run totals that normalize

@@ -1,28 +1,109 @@
 //! Structured run events and JSONL sinks.
 //!
 //! Every event serialises to one JSON object per line with a
-//! discriminating `"event"` field; the full schema is documented in
-//! `DESIGN.md` ("Observability") and machine-checked by [`crate::schema`].
+//! discriminating `"event"` field. The `run_events!` table below is the
+//! single declaration of every kind and its fields: encoding, decoding,
+//! validation ([`crate::schema`]) and the `DESIGN.md` §5c table all
+//! derive from it.
 //! Producers emit through the object-safe [`EventSink`] trait so the same
 //! instrumentation can stream to a file ([`JsonlSink`]) or be captured
 //! in-memory for tests ([`VecSink`]).
 
-use crate::json::{escape, fmt_f64};
+use crate::explain::ExplainReport;
+use crate::json::Json;
 use crate::registry::MetricsSnapshot;
+use crate::resource::ResourceReport;
+use crate::schema::SchemaError;
 use crate::timer::PhaseSnapshot;
+use crate::wire::{Field, FieldError, FieldSpec};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// One structured run event.
-///
-/// `restart` fields are `Some` when the event was produced inside a
-/// portfolio restart (carrying the restart's seed-order index) and `None`
-/// for standalone runs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunEvent {
+/// Declares every run-event kind once: its variant, its `"event"` name
+/// and its fields. The enum, [`RunEvent::kind`], the encoder
+/// ([`RunEvent::to_json`]), the decoder and schema check
+/// ([`RunEvent::from_json`]) and the documented field table
+/// ([`RunEvent::schema`]) are all generated from this one table. Each
+/// field is written under its own name, in declaration order, and is
+/// optional exactly when its type is an `Option`; a payload record
+/// (`MetricsSnapshot`, `ExplainReport`, `ResourceReport`) is flattened
+/// into the event object.
+macro_rules! run_events {
+    ($(
+        $(#[$meta:meta])*
+        $variant:ident = $kind:literal {
+            $( $(#[$fmeta:meta])* $field:ident : $ty:ty, )*
+        }
+    )*) => {
+        /// One structured run event.
+        ///
+        /// `restart` fields are `Some` when the event was produced inside a
+        /// portfolio restart (carrying the restart's seed-order index) and
+        /// `None` for standalone runs.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum RunEvent {
+            $( $(#[$meta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        impl RunEvent {
+            /// The value of the discriminating `"event"` field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( RunEvent::$variant { .. } => $kind, )*
+                }
+            }
+
+            /// Serialises the event as one JSON object (no trailing
+            /// newline): the `"event"` discriminator, then each field.
+            pub fn to_json(&self) -> String {
+                let mut out = vec![("event".to_string(), Json::Str(self.kind().to_string()))];
+                match self {
+                    $( RunEvent::$variant { $( $field, )* } => {
+                        $( Field::put($field, stringify!($field), &mut out); )*
+                    } )*
+                }
+                Json::Obj(out).dump()
+            }
+
+            /// Decodes one event object — the executable schema. Extra
+            /// fields are allowed (forward compatibility); an unknown
+            /// `"event"` kind, a missing required field or a field of the
+            /// wrong type is an error.
+            pub fn from_json(value: &Json) -> Result<RunEvent, SchemaError> {
+                if value.as_object().is_none() {
+                    return Err(SchemaError::NotAnObject);
+                }
+                let kind = value
+                    .get("event")
+                    .and_then(Json::as_str)
+                    .ok_or(SchemaError::MissingEventField)?;
+                let event = match kind {
+                    $( $kind => (|| {
+                        Ok(RunEvent::$variant {
+                            $( $field: Field::take(value, stringify!($field))?, )*
+                        })
+                    })(), )*
+                    other => return Err(SchemaError::UnknownEvent(other.to_string())),
+                };
+                event.map_err(|e: FieldError| SchemaError::field(kind, e))
+            }
+
+            /// Every event kind with its declared fields, in table order.
+            pub fn schema() -> Vec<(&'static str, Vec<FieldSpec>)> {
+                vec![$( ($kind, {
+                    let mut fields = Vec::new();
+                    $( <$ty as Field>::spec(stringify!($field), &mut fields); )*
+                    fields
+                }), )*]
+            }
+        }
+    };
+}
+
+run_events! {
     /// A run (one CLI `solve`/`join` invocation or one bench run) begins.
-    RunStart {
+    RunStart = "run_start" {
         /// Algorithm name (e.g. `"ILS"`, `"SEA"`, `"WR"`).
         algo: String,
         /// Number of query variables.
@@ -39,16 +120,16 @@ pub enum RunEvent {
         budget_steps: Option<u64>,
         /// Time budget in seconds, when one was set.
         budget_secs: Option<f64>,
-    },
+    }
     /// A portfolio restart begins.
-    RestartStart {
+    RestartStart = "restart_start" {
         /// Seed-order index of the restart.
         restart: u64,
         /// Derived RNG seed of the restart.
         seed: u64,
-    },
+    }
     /// The incumbent best solution improved.
-    Improvement {
+    Improvement = "improvement" {
         /// Restart index, when inside a portfolio.
         restart: Option<u64>,
         /// Steps consumed when the improvement happened.
@@ -59,9 +140,9 @@ pub enum RunEvent {
         similarity: f64,
         /// Seconds since the run started.
         elapsed_secs: f64,
-    },
+    }
     /// A portfolio restart finished.
-    RestartEnd {
+    RestartEnd = "restart_end" {
         /// Seed-order index of the restart.
         restart: u64,
         /// Violations of the restart's best solution.
@@ -70,42 +151,42 @@ pub enum RunEvent {
         steps: u64,
         /// Seconds the restart ran.
         elapsed_secs: f64,
-    },
+    }
     /// The step or time budget ran out.
-    BudgetExhausted {
+    BudgetExhausted = "budget_exhausted" {
         /// Restart index, when inside a portfolio.
         restart: Option<u64>,
         /// Steps consumed at exhaustion.
         steps: u64,
         /// Seconds since the run started.
         elapsed_secs: f64,
-    },
+    }
     /// The portfolio cutoff stopped this run because a sibling restart
     /// already reached an exact solution.
-    CutoffFired {
+    CutoffFired = "cutoff_fired" {
         /// Restart index, when inside a portfolio.
         restart: Option<u64>,
         /// Steps consumed when the cutoff fired.
         steps: u64,
         /// Seconds since the run started.
         elapsed_secs: f64,
-    },
+    }
     /// One convergence-trace point (used by `--trace-out`).
-    TracePoint {
+    TracePoint = "trace_point" {
         /// Steps consumed at this point.
         step: u64,
         /// Best similarity at this point.
         similarity: f64,
         /// Seconds since the run started.
         elapsed_secs: f64,
-    },
+    }
     /// Periodic live-telemetry heartbeat, emitted by the search driver
     /// every `progress_every` steps. The cadence is **step-indexed**, so
     /// every counter-valued field (step, best violations/similarity,
     /// node accesses, cache counters, resident bytes) is deterministic
     /// under a step budget; `steps_per_sec` and `elapsed_secs` are
     /// measured wall-clock and exempt, like bench-snapshot wall fields.
-    Progress {
+    Progress = "progress" {
         /// Restart index, when inside a portfolio.
         restart: Option<u64>,
         /// Steps consumed at this heartbeat.
@@ -126,11 +207,11 @@ pub enum RunEvent {
         cache_misses: u64,
         /// Resident bytes (instance index structures + window cache).
         resident_bytes: u64,
-    },
+    }
     /// The stall watchdog observed no incumbent improvement for the
     /// configured step and/or wall window. Emitted once per stall episode
     /// (re-armed by the next improvement).
-    StallDetected {
+    StallDetected = "stall_detected" {
         /// Restart index, when inside a portfolio.
         restart: Option<u64>,
         /// Steps consumed when the stall was detected.
@@ -141,20 +222,20 @@ pub enum RunEvent {
         secs_since_improvement: f64,
         /// Seconds since the run started.
         elapsed_secs: f64,
-    },
+    }
     /// The stall watchdog aborted the run (`--stall-abort`): a distinct
     /// stop reason riding the same cutoff machinery as `cutoff_fired`.
-    StallAborted {
+    StallAborted = "stall_aborted" {
         /// Restart index, when inside a portfolio.
         restart: Option<u64>,
         /// Steps consumed when the abort fired.
         steps: u64,
         /// Seconds since the run started.
         elapsed_secs: f64,
-    },
+    }
     /// GILS reseeded from a fresh random solution after
     /// `stagnation_reseed` punishment rounds without improvement.
-    StagnationReseed {
+    StagnationReseed = "stagnation_reseed" {
         /// Restart index, when inside a portfolio.
         restart: Option<u64>,
         /// Steps consumed when the reseed fired.
@@ -163,33 +244,34 @@ pub enum RunEvent {
         rounds: u64,
         /// Seconds since the run started.
         elapsed_secs: f64,
-    },
+    }
     /// Frozen metrics of the run (or the merged portfolio metrics).
-    Metrics {
-        /// The snapshot.
+    Metrics = "metrics" {
+        /// The snapshot (flattened: `counters`, `gauges`, `histograms`).
         snapshot: MetricsSnapshot,
-    },
+    }
     /// Frozen phase-timer aggregates of the run.
-    Phases {
+    Phases = "phases" {
         /// Per-phase aggregates, sorted by path.
         phases: Vec<PhaseSnapshot>,
-    },
+    }
     /// Estimated-vs-observed cost audit of the run (see
     /// [`crate::explain::ExplainReport`]). Emitted once per top-level run
     /// just before `resource_report`; `mwsj explain` emits the pre-run
     /// estimate-only form.
-    ExplainReport {
-        /// The report.
-        report: crate::explain::ExplainReport,
-    },
+    ExplainReport = "explain_report" {
+        /// The report (flattened into the event object).
+        report: ExplainReport,
+    }
     /// Deterministic memory footprint of the run's resident structures
     /// (see [`crate::resource::MemoryFootprint`]).
-    ResourceReport {
-        /// The component → bytes table.
-        report: crate::resource::ResourceReport,
-    },
+    ResourceReport = "resource_report" {
+        /// The component → bytes table (flattened: `total_bytes`, then
+        /// `components`).
+        report: ResourceReport,
+    }
     /// The run finished.
-    RunEnd {
+    RunEnd = "run_end" {
         /// Violations of the best solution found.
         best_violations: u64,
         /// Similarity of the best solution found.
@@ -209,319 +291,7 @@ pub enum RunEvent {
         elapsed_secs: f64,
         /// Whether the result was proven optimal.
         proven_optimal: bool,
-    },
-}
-
-impl RunEvent {
-    /// The value of the discriminating `"event"` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RunEvent::RunStart { .. } => "run_start",
-            RunEvent::RestartStart { .. } => "restart_start",
-            RunEvent::Improvement { .. } => "improvement",
-            RunEvent::RestartEnd { .. } => "restart_end",
-            RunEvent::BudgetExhausted { .. } => "budget_exhausted",
-            RunEvent::CutoffFired { .. } => "cutoff_fired",
-            RunEvent::TracePoint { .. } => "trace_point",
-            RunEvent::Progress { .. } => "progress",
-            RunEvent::StallDetected { .. } => "stall_detected",
-            RunEvent::StallAborted { .. } => "stall_aborted",
-            RunEvent::StagnationReseed { .. } => "stagnation_reseed",
-            RunEvent::Metrics { .. } => "metrics",
-            RunEvent::Phases { .. } => "phases",
-            RunEvent::ExplainReport { .. } => "explain_report",
-            RunEvent::ResourceReport { .. } => "resource_report",
-            RunEvent::RunEnd { .. } => "run_end",
-        }
     }
-
-    /// Serialises the event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObj::new(self.kind());
-        match self {
-            RunEvent::RunStart {
-                algo,
-                n_vars,
-                edges,
-                restarts,
-                threads,
-                seed,
-                budget_steps,
-                budget_secs,
-            } => {
-                obj.str("algo", algo);
-                obj.u64("n_vars", *n_vars);
-                obj.u64("edges", *edges);
-                obj.u64("restarts", *restarts);
-                obj.u64("threads", *threads);
-                obj.u64("seed", *seed);
-                if let Some(steps) = budget_steps {
-                    obj.u64("budget_steps", *steps);
-                }
-                if let Some(secs) = budget_secs {
-                    obj.f64("budget_secs", *secs);
-                }
-            }
-            RunEvent::RestartStart { restart, seed } => {
-                obj.u64("restart", *restart);
-                obj.u64("seed", *seed);
-            }
-            RunEvent::Improvement {
-                restart,
-                step,
-                violations,
-                similarity,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("step", *step);
-                obj.u64("violations", *violations);
-                obj.f64("similarity", *similarity);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::RestartEnd {
-                restart,
-                best_violations,
-                steps,
-                elapsed_secs,
-            } => {
-                obj.u64("restart", *restart);
-                obj.u64("best_violations", *best_violations);
-                obj.u64("steps", *steps);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::BudgetExhausted {
-                restart,
-                steps,
-                elapsed_secs,
-            }
-            | RunEvent::CutoffFired {
-                restart,
-                steps,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("steps", *steps);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::TracePoint {
-                step,
-                similarity,
-                elapsed_secs,
-            } => {
-                obj.u64("step", *step);
-                obj.f64("similarity", *similarity);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::Progress {
-                restart,
-                step,
-                steps_per_sec,
-                elapsed_secs,
-                best_violations,
-                best_similarity,
-                node_accesses,
-                cache_hits,
-                cache_misses,
-                resident_bytes,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("step", *step);
-                obj.f64("steps_per_sec", *steps_per_sec);
-                obj.f64("elapsed_secs", *elapsed_secs);
-                if let Some(v) = best_violations {
-                    obj.u64("best_violations", *v);
-                }
-                if let Some(s) = best_similarity {
-                    obj.f64("best_similarity", *s);
-                }
-                obj.u64("node_accesses", *node_accesses);
-                obj.u64("cache_hits", *cache_hits);
-                obj.u64("cache_misses", *cache_misses);
-                obj.u64("resident_bytes", *resident_bytes);
-            }
-            RunEvent::StallDetected {
-                restart,
-                step,
-                steps_since_improvement,
-                secs_since_improvement,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("step", *step);
-                obj.u64("steps_since_improvement", *steps_since_improvement);
-                obj.f64("secs_since_improvement", *secs_since_improvement);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::StallAborted {
-                restart,
-                steps,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("steps", *steps);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::StagnationReseed {
-                restart,
-                step,
-                rounds,
-                elapsed_secs,
-            } => {
-                if let Some(r) = restart {
-                    obj.u64("restart", *r);
-                }
-                obj.u64("step", *step);
-                obj.u64("rounds", *rounds);
-                obj.f64("elapsed_secs", *elapsed_secs);
-            }
-            RunEvent::Metrics { snapshot } => {
-                obj.raw("counters", &counters_json(&snapshot.counters));
-                obj.raw("gauges", &gauges_json(&snapshot.gauges));
-                obj.raw("histograms", &histograms_json(&snapshot.histograms));
-            }
-            RunEvent::Phases { phases } => {
-                obj.raw("phases", &phases_json(phases));
-            }
-            RunEvent::ExplainReport { report } => {
-                obj.out.push(',');
-                obj.out.push_str(&report.to_json_fields());
-            }
-            RunEvent::ResourceReport { report } => {
-                obj.u64("total_bytes", report.total_bytes());
-                obj.raw("components", &counters_json(report.components()));
-            }
-            RunEvent::RunEnd {
-                best_violations,
-                best_similarity,
-                steps,
-                node_accesses,
-                local_maxima,
-                improvements,
-                restarts,
-                elapsed_secs,
-                proven_optimal,
-            } => {
-                obj.u64("best_violations", *best_violations);
-                obj.f64("best_similarity", *best_similarity);
-                obj.u64("steps", *steps);
-                obj.u64("node_accesses", *node_accesses);
-                obj.u64("local_maxima", *local_maxima);
-                obj.u64("improvements", *improvements);
-                obj.u64("restarts", *restarts);
-                obj.f64("elapsed_secs", *elapsed_secs);
-                obj.bool("proven_optimal", *proven_optimal);
-            }
-        }
-        obj.finish()
-    }
-}
-
-/// Tiny builder for one flat JSON object line.
-struct JsonObj {
-    out: String,
-}
-
-impl JsonObj {
-    fn new(kind: &str) -> Self {
-        JsonObj {
-            out: format!("{{\"event\":{}", escape(kind)),
-        }
-    }
-    fn key(&mut self, key: &str) {
-        self.out.push(',');
-        self.out.push_str(&escape(key));
-        self.out.push(':');
-    }
-    fn str(&mut self, key: &str, value: &str) {
-        self.key(key);
-        self.out.push_str(&escape(value));
-    }
-    fn u64(&mut self, key: &str, value: u64) {
-        self.key(key);
-        self.out.push_str(&value.to_string());
-    }
-    fn f64(&mut self, key: &str, value: f64) {
-        self.key(key);
-        self.out.push_str(&fmt_f64(value));
-    }
-    fn bool(&mut self, key: &str, value: bool) {
-        self.key(key);
-        self.out.push_str(if value { "true" } else { "false" });
-    }
-    fn raw(&mut self, key: &str, json: &str) {
-        self.key(key);
-        self.out.push_str(json);
-    }
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
-}
-
-fn counters_json(counters: &[(String, u64)]) -> String {
-    let body: Vec<String> = counters
-        .iter()
-        .map(|(k, v)| format!("{}:{v}", escape(k)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn gauges_json(gauges: &[(String, f64)]) -> String {
-    let body: Vec<String> = gauges
-        .iter()
-        .map(|(k, v)| format!("{}:{}", escape(k), fmt_f64(*v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn histograms_json(histograms: &[(String, crate::HistogramSnapshot)]) -> String {
-    let body: Vec<String> = histograms
-        .iter()
-        .map(|(k, h)| {
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .map(|(b, n)| format!("[{b},{n}]"))
-                .collect();
-            format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-                escape(k),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                buckets.join(",")
-            )
-        })
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn phases_json(phases: &[PhaseSnapshot]) -> String {
-    let body: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"path\":{},\"calls\":{},\"steps\":{},\"wall_secs\":{}}}",
-                escape(&p.path),
-                p.calls,
-                p.steps,
-                fmt_f64(p.wall.as_secs_f64())
-            )
-        })
-        .collect();
-    format!("[{}]", body.join(","))
 }
 
 /// Receives run events. Implementations must tolerate concurrent emitters

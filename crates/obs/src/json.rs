@@ -1,19 +1,25 @@
-//! Minimal JSON support: string escaping and number formatting for the
-//! writer side, plus a small recursive-descent parser used by
-//! `mwsj report` and the schema checker.
+//! Minimal JSON support: the workspace's one JSON value type, its
+//! encoder ([`Json::dump`], [`Json::dump_pretty`]) and a small
+//! recursive-descent parser used by `mwsj report`, `mwsj watch` and the
+//! schema checker.
 //!
 //! The workspace builds without crates.io access, so this is a
 //! deliberately tiny hand-rolled implementation covering exactly the
-//! JSONL schema emitted by [`crate::events`]: objects, arrays, strings,
-//! finite numbers, booleans and `null`. Numbers are parsed as `f64`;
-//! integer counters are exact up to 2⁵³, far beyond any counter this
-//! workspace produces in practice.
+//! documents this crate writes: objects, arrays, strings, numbers,
+//! booleans and `null`. Integer literals that fit a `u64` parse to the
+//! exact [`Json::U64`], so 64-bit seeds and counters survive a round
+//! trip; every other number parses as an `f64`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Escapes `s` for inclusion in a JSON string literal (quotes included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -22,24 +28,30 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Formats an `f64` as a JSON number. Non-finite values (which JSON cannot
 /// represent) are emitted as `null`.
 pub fn fmt_f64(v: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, v);
+    out
+}
+
+/// `{}` prints integral floats without a fractional part ("1") and never
+/// uses an exponent; both are valid JSON numbers.
+fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats without a fractional part ("1"),
-        // which is still a valid JSON number; keep it as-is.
-        s
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -50,7 +62,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// An unsigned integer, held exactly.
+    U64(u64),
+    /// Any other number.
     Num(f64),
     /// A string.
     Str(String),
@@ -99,18 +113,23 @@ impl Json {
         }
     }
 
-    /// The value as a finite `f64`, if it is a number.
+    /// The value as an `f64`, if it is a number (integers convert with
+    /// the usual rounding above 2⁵³).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::U64(v) => Some(*v as f64),
             Json::Num(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`, if it is a non-negative integer below 2⁶⁴:
+    /// an exact integer literal, or an integral float literal such as
+    /// `1e3`. Literals out of range are `None`, never saturated.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
+            Json::U64(v) => Some(*v),
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < 18_446_744_073_709_551_616.0 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -168,14 +187,17 @@ impl Json {
         let newline = |out: &mut String, depth: usize| {
             if let Some(width) = indent {
                 out.push('\n');
-                out.push_str(&" ".repeat(width * depth));
+                out.extend(std::iter::repeat_n(' ', width * depth));
             }
         };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => out.push_str(&fmt_f64(*v)),
-            Json::Str(s) => out.push_str(&escape(s)),
+            Json::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::Num(v) => write_f64(out, *v),
+            Json::Str(s) => escape_into(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -203,7 +225,7 @@ impl Json {
                         out.push(',');
                     }
                     newline(out, depth + 1);
-                    out.push_str(&escape(key));
+                    escape_into(out, key);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -273,6 +295,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number slice");
+    if text.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(v) = text.parse::<u64>() {
+            return Ok(Json::U64(v));
+        }
+    }
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| err(start, "invalid number"))
@@ -453,6 +480,26 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(0.0).as_u64(), Some(0));
+    }
+
+    #[test]
+    fn u64_literals_are_exact_and_out_of_range_ones_are_not_integers() {
+        let v = Json::parse(
+            "[12345678901234567890,18446744073709551615,18446744073709551616,-1,1e3,2.5]",
+        )
+        .unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0], Json::U64(12_345_678_901_234_567_890));
+        assert_eq!(items[1].as_u64(), Some(u64::MAX));
+        assert_eq!(items[2].as_u64(), None, "2^64 must not saturate");
+        assert_eq!(items[2].as_f64(), Some(18_446_744_073_709_551_616.0));
+        assert_eq!(items[3].as_u64(), None);
+        assert_eq!(items[4].as_u64(), Some(1000));
+        assert_eq!(items[0].as_f64(), Some(12_345_678_901_234_567_890.0));
+        assert_eq!(
+            v.dump(),
+            "[12345678901234567890,18446744073709551615,18446744073709552000,-1,1000,2.5]"
+        );
     }
 
     #[test]

@@ -18,8 +18,12 @@
 //! * [`RunEvent`] / [`EventSink`] — a structured run-event stream (run
 //!   start/end, incumbent improvements, restart lifecycle, budget
 //!   exhaustion, cutoff firings) serialised as JSON Lines. The schema is
-//!   documented in `DESIGN.md` and validated by [`schema::validate_line`]
-//!   (also available as the `mwsj-schema-check` binary).
+//!   the one `run_events!` declaration in [`events`]: it generates the
+//!   encoder, the decoder [`RunEvent::from_json`] behind
+//!   [`schema::validate_line`] (also available as the `mwsj-schema-check`
+//!   binary), and the `DESIGN.md` table, which a unit test keeps in sync.
+//!   Nested records declare their wire form once with [`wire`]'s
+//!   `wire_record!`, and [`Json`] is the one encoder underneath.
 //!
 //! [`ObsHandle`] bundles the three for threading through search contexts.
 //!
@@ -54,6 +58,7 @@ pub mod schema;
 pub mod snapshot;
 pub mod suite_key;
 pub mod timer;
+pub mod wire;
 
 pub use compare::{
     compare, CompareConfig, CompareReport, Verdict, DEFAULT_WALL_SLACK_MS, DEFAULT_WALL_TOLERANCE,

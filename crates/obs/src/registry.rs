@@ -15,6 +15,7 @@
 //! snapshots in seed order yields bit-identical results for any thread
 //! count under a step budget.
 
+use crate::wire::wire_record;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -265,6 +266,7 @@ impl Histogram {
     }
 }
 
+wire_record! { nested
 /// Frozen histogram state: exact count/sum/min/max plus the non-empty
 /// log₂ buckets as `(bucket_index, count)` pairs (see [`Histogram`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -279,6 +281,7 @@ pub struct HistogramSnapshot {
     pub max: u64,
     /// Non-empty buckets, ascending by index.
     pub buckets: Vec<(u32, u64)>,
+}
 }
 
 impl HistogramSnapshot {
@@ -313,6 +316,7 @@ impl HistogramSnapshot {
     }
 }
 
+wire_record! { flat
 /// All metrics of one registry frozen at a point in time, sorted by name.
 ///
 /// Snapshots merge **deterministically**: counters and histogram contents
@@ -327,6 +331,7 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, f64)>,
     /// `(name, histogram)` pairs, ascending by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
+}
 }
 
 impl MetricsSnapshot {

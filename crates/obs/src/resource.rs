@@ -22,6 +22,8 @@
 //!   needs when a query goes sideways.
 
 use crate::events::{EventSink, RunEvent};
+use crate::json::Json;
+use crate::wire::{wire_record, Field, FieldError, FieldSpec};
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::Path;
@@ -93,6 +95,35 @@ impl ResourceReport {
     /// `true` when no component has been recorded.
     pub fn is_empty(&self) -> bool {
         self.components.is_empty()
+    }
+}
+
+wire_record! { flat
+/// The wire form of a [`ResourceReport`] (a flattened payload): the
+/// derived total first, then the table.
+struct ResourceWire {
+    total_bytes: u64,
+    components: Vec<(String, u64)>,
+}
+}
+
+impl Field for ResourceReport {
+    fn put(&self, name: &'static str, out: &mut Vec<(String, Json)>) {
+        let wire = ResourceWire {
+            total_bytes: self.total_bytes(),
+            components: self.components.clone(),
+        };
+        wire.put(name, out);
+    }
+    fn take(obj: &Json, name: &'static str) -> Result<Self, FieldError> {
+        let mut report = ResourceReport::new();
+        for (component, bytes) in ResourceWire::take(obj, name)?.components {
+            report.record(&component, bytes);
+        }
+        Ok(report)
+    }
+    fn spec(name: &'static str, out: &mut Vec<FieldSpec>) {
+        ResourceWire::spec(name, out);
     }
 }
 

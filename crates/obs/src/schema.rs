@@ -1,204 +1,19 @@
-//! Validation of JSONL run-event files against the documented schema.
+//! Validation of JSONL run-event files.
 //!
-//! The authoritative prose schema lives in `DESIGN.md` ("Observability");
-//! this module is its executable form, used by tests, CI (via the
-//! `mwsj-schema-check` binary) and `mwsj report`. Validation is
-//! deliberately *open*: unknown extra fields are allowed (forward
-//! compatibility), but the `event` discriminator must be known and every
-//! required field must be present with the right JSON type.
+//! The authoritative schema is the `run_events!` declaration in
+//! [`crate::events`]: a line is valid exactly when it decodes into a
+//! [`RunEvent`]. This module is the line- and file-level front end used by
+//! tests, CI (via the `mwsj-schema-check` binary), `mwsj report` and
+//! `mwsj watch`; [`render_table`] renders the declaration as the
+//! `DESIGN.md` §5c table. Validation is deliberately *open*: unknown extra
+//! fields are allowed (forward compatibility), but the `event`
+//! discriminator must be known and every required field must be present
+//! with the right JSON type.
 
+use crate::events::RunEvent;
 use crate::json::{Json, JsonError};
+use crate::wire::FieldError;
 use std::fmt;
-
-/// Expected JSON type of a schema field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FieldType {
-    U64,
-    F64,
-    Str,
-    Bool,
-    Obj,
-    Arr,
-}
-
-impl FieldType {
-    fn check(self, value: &Json) -> bool {
-        match self {
-            FieldType::U64 => value.as_u64().is_some(),
-            FieldType::F64 => value.as_f64().is_some(),
-            FieldType::Str => value.as_str().is_some(),
-            FieldType::Bool => value.as_bool().is_some(),
-            FieldType::Obj => value.as_object().is_some(),
-            FieldType::Arr => value.as_array().is_some(),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            FieldType::U64 => "non-negative integer",
-            FieldType::F64 => "number",
-            FieldType::Str => "string",
-            FieldType::Bool => "boolean",
-            FieldType::Obj => "object",
-            FieldType::Arr => "array",
-        }
-    }
-}
-
-/// Required fields per event kind (optional fields are not listed; they
-/// are type-checked only when present via `OPTIONAL`).
-const REQUIRED: &[(&str, &[(&str, FieldType)])] = &[
-    (
-        "run_start",
-        &[
-            ("algo", FieldType::Str),
-            ("n_vars", FieldType::U64),
-            ("edges", FieldType::U64),
-            ("restarts", FieldType::U64),
-            ("threads", FieldType::U64),
-            ("seed", FieldType::U64),
-        ],
-    ),
-    (
-        "restart_start",
-        &[("restart", FieldType::U64), ("seed", FieldType::U64)],
-    ),
-    (
-        "improvement",
-        &[
-            ("step", FieldType::U64),
-            ("violations", FieldType::U64),
-            ("similarity", FieldType::F64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "restart_end",
-        &[
-            ("restart", FieldType::U64),
-            ("best_violations", FieldType::U64),
-            ("steps", FieldType::U64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "budget_exhausted",
-        &[("steps", FieldType::U64), ("elapsed_secs", FieldType::F64)],
-    ),
-    (
-        "cutoff_fired",
-        &[("steps", FieldType::U64), ("elapsed_secs", FieldType::F64)],
-    ),
-    (
-        "trace_point",
-        &[
-            ("step", FieldType::U64),
-            ("similarity", FieldType::F64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "progress",
-        &[
-            ("step", FieldType::U64),
-            ("steps_per_sec", FieldType::F64),
-            ("elapsed_secs", FieldType::F64),
-            ("node_accesses", FieldType::U64),
-            ("cache_hits", FieldType::U64),
-            ("cache_misses", FieldType::U64),
-            ("resident_bytes", FieldType::U64),
-        ],
-    ),
-    (
-        "stall_detected",
-        &[
-            ("step", FieldType::U64),
-            ("steps_since_improvement", FieldType::U64),
-            ("secs_since_improvement", FieldType::F64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "stall_aborted",
-        &[("steps", FieldType::U64), ("elapsed_secs", FieldType::F64)],
-    ),
-    (
-        "stagnation_reseed",
-        &[
-            ("step", FieldType::U64),
-            ("rounds", FieldType::U64),
-            ("elapsed_secs", FieldType::F64),
-        ],
-    ),
-    (
-        "metrics",
-        &[
-            ("counters", FieldType::Obj),
-            ("gauges", FieldType::Obj),
-            ("histograms", FieldType::Obj),
-        ],
-    ),
-    ("phases", &[("phases", FieldType::Arr)]),
-    (
-        "explain_report",
-        &[
-            ("model", FieldType::Str),
-            ("expected_solutions", FieldType::F64),
-            ("edges", FieldType::Arr),
-            ("vars", FieldType::Arr),
-        ],
-    ),
-    (
-        "resource_report",
-        &[
-            ("total_bytes", FieldType::U64),
-            ("components", FieldType::Obj),
-        ],
-    ),
-    (
-        "run_end",
-        &[
-            ("best_violations", FieldType::U64),
-            ("best_similarity", FieldType::F64),
-            ("steps", FieldType::U64),
-            ("node_accesses", FieldType::U64),
-            ("local_maxima", FieldType::U64),
-            ("improvements", FieldType::U64),
-            ("restarts", FieldType::U64),
-            ("elapsed_secs", FieldType::F64),
-            ("proven_optimal", FieldType::Bool),
-        ],
-    ),
-];
-
-/// Optional fields, type-checked only when present.
-const OPTIONAL: &[(&str, &[(&str, FieldType)])] = &[
-    (
-        "run_start",
-        &[
-            ("budget_steps", FieldType::U64),
-            ("budget_secs", FieldType::F64),
-        ],
-    ),
-    ("improvement", &[("restart", FieldType::U64)]),
-    ("budget_exhausted", &[("restart", FieldType::U64)]),
-    ("cutoff_fired", &[("restart", FieldType::U64)]),
-    (
-        "progress",
-        &[
-            ("restart", FieldType::U64),
-            ("best_violations", FieldType::U64),
-            ("best_similarity", FieldType::F64),
-        ],
-    ),
-    ("stall_detected", &[("restart", FieldType::U64)]),
-    (
-        "explain_report",
-        &[("observed_node_accesses", FieldType::U64)],
-    ),
-    ("stall_aborted", &[("restart", FieldType::U64)]),
-    ("stagnation_reseed", &[("restart", FieldType::U64)]),
-];
 
 /// A schema violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -250,68 +65,64 @@ impl fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
+impl SchemaError {
+    /// Attributes a field-level decode failure to its event kind.
+    pub(crate) fn field(event: &str, error: FieldError) -> SchemaError {
+        let event = event.to_string();
+        match error {
+            FieldError::Missing(field) => SchemaError::MissingField { event, field },
+            FieldError::WrongType(field, ty) => SchemaError::WrongType {
+                event,
+                field,
+                expected: ty.name(),
+            },
+        }
+    }
+}
+
+/// Parses and validates one JSONL line into its event.
+pub fn parse_line(line: &str) -> Result<RunEvent, SchemaError> {
+    RunEvent::from_json(&Json::parse(line).map_err(SchemaError::Json)?)
+}
+
 /// Validates one JSONL line; returns the event kind on success.
 pub fn validate_line(line: &str) -> Result<&'static str, SchemaError> {
-    let value = Json::parse(line).map_err(SchemaError::Json)?;
-    if value.as_object().is_none() {
-        return Err(SchemaError::NotAnObject);
-    }
-    let kind = value
-        .get("event")
-        .and_then(Json::as_str)
-        .ok_or(SchemaError::MissingEventField)?;
-    let (kind, required) = REQUIRED
-        .iter()
-        .find(|(k, _)| *k == kind)
-        .map(|(k, req)| (*k, *req))
-        .ok_or_else(|| SchemaError::UnknownEvent(kind.to_string()))?;
-    for (field, ty) in required {
-        match value.get(field) {
-            None => {
-                return Err(SchemaError::MissingField {
-                    event: kind.to_string(),
-                    field: field.to_string(),
-                })
-            }
-            Some(v) if !ty.check(v) => {
-                return Err(SchemaError::WrongType {
-                    event: kind.to_string(),
-                    field: field.to_string(),
-                    expected: ty.name(),
-                })
-            }
-            Some(_) => {}
-        }
-    }
-    if let Some((_, optional)) = OPTIONAL.iter().find(|(k, _)| *k == kind) {
-        for (field, ty) in *optional {
-            if let Some(v) = value.get(field) {
-                if !ty.check(v) {
-                    return Err(SchemaError::WrongType {
-                        event: kind.to_string(),
-                        field: field.to_string(),
-                        expected: ty.name(),
-                    });
-                }
-            }
-        }
-    }
-    Ok(kind)
+    parse_line(line).map(|event| event.kind())
+}
+
+/// Parses and validates a whole JSONL document (empty lines are ignored);
+/// returns the events, or the 1-based line number of the first failure.
+pub fn parse_jsonl(text: &str) -> Result<Vec<RunEvent>, (usize, SchemaError)> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| parse_line(line).map_err(|e| (i + 1, e)))
+        .collect()
 }
 
 /// Validates a whole JSONL document (empty lines are ignored); returns the
 /// number of events on success, or the 1-based line number of the first
 /// failure.
 pub fn validate_jsonl(text: &str) -> Result<usize, (usize, SchemaError)> {
-    let mut events = 0;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_line(line).map_err(|e| (i + 1, e))?;
-        events += 1;
+    parse_jsonl(text).map(|events| events.len())
+}
+
+/// Renders the event declaration as the canonical markdown table of
+/// `DESIGN.md` §5c: one row per kind, fields in wire order, `?` marking
+/// optional ones.
+pub fn render_table() -> String {
+    let mut out = String::from("| `event` | fields |\n|---|---|\n");
+    for (kind, fields) in RunEvent::schema() {
+        let fields: Vec<String> = fields
+            .iter()
+            .map(|f| {
+                let optional = if f.optional { "?" } else { "" };
+                format!("`{}` {}{optional}", f.name, f.ty.short())
+            })
+            .collect();
+        out.push_str(&format!("| `{kind}` | {} |\n", fields.join(", ")));
     }
-    Ok(events)
+    out
 }
 
 #[cfg(test)]
@@ -478,6 +289,56 @@ mod tests {
         assert_eq!(validate_jsonl(good), Ok(2));
         let bad = "{\"event\":\"phases\",\"phases\":[]}\nbroken\n";
         assert_eq!(validate_jsonl(bad).unwrap_err().0, 2);
+    }
+
+    #[test]
+    fn integers_above_u64_max_are_wrong_type() {
+        let line = r#"{"event":"restart_start","restart":0,"seed":18446744073709551616}"#;
+        assert_eq!(
+            validate_line(line),
+            Err(SchemaError::WrongType {
+                event: "restart_start".into(),
+                field: "seed".into(),
+                expected: "non-negative integer",
+            })
+        );
+        let line = r#"{"event":"restart_start","restart":0,"seed":18446744073709551615}"#;
+        assert_eq!(
+            parse_line(line),
+            Ok(RunEvent::RestartStart {
+                restart: 0,
+                seed: u64::MAX
+            })
+        );
+    }
+
+    #[test]
+    fn payload_members_are_checked_to_the_leaves() {
+        assert_eq!(
+            validate_line(r#"{"event":"phases","phases":[{"path":"a"}]}"#),
+            Err(SchemaError::MissingField {
+                event: "phases".into(),
+                field: "phases[0].calls".into(),
+            })
+        );
+        assert_eq!(
+            validate_line(r#"{"event":"resource_report","total_bytes":1,"components":{"a":-1}}"#),
+            Err(SchemaError::WrongType {
+                event: "resource_report".into(),
+                field: "components.a".into(),
+                expected: "non-negative integer",
+            })
+        );
+    }
+
+    #[test]
+    fn design_doc_table_is_rendered_from_the_declaration() {
+        let design = include_str!("../../../DESIGN.md");
+        let table = render_table();
+        assert!(
+            design.contains(&table),
+            "DESIGN.md §5c event table is out of date; replace it with:\n{table}"
+        );
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::curve::{AnytimeCurve, CurvePoint};
 use crate::explain::ExplainReport;
 use crate::json::{Json, JsonError};
 use crate::timer::PhaseSnapshot;
+use crate::wire::{wire_record, Record, Wire};
 use std::fmt;
-use std::time::Duration;
 
 /// The top-level `format` discriminator of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "mwsj-bench-snapshot";
@@ -67,7 +67,9 @@ pub struct BenchSnapshot {
     pub explain: Vec<ExplainRecord>,
 }
 
-/// Deterministic pre-run explain report of one suite instance.
+wire_record! { nested
+/// Deterministic pre-run explain report of one suite instance: the
+/// instance name, then the report's fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainRecord {
     /// The suite instance this report describes.
@@ -75,7 +77,9 @@ pub struct ExplainRecord {
     /// The estimate-side [`ExplainReport`] of the pinned instance.
     pub report: ExplainReport,
 }
+}
 
+wire_record! { nested
 /// Deterministic memory footprint of one suite instance's resident
 /// structures, component by component (`rtree.var000`, `flat_leaves.var000`,
 /// …). Bytes are length-based (`MemoryFootprint` contract), so the same
@@ -89,7 +93,9 @@ pub struct MemoryRecord {
     /// Sum over `components`.
     pub total_bytes: u64,
 }
+}
 
+wire_record! { nested
 /// Deterministic window-cache efficiency counters of one instance ×
 /// algorithm record. All-zero records (algorithms that run without the
 /// cache) are still recorded so regressions that silently disable the
@@ -111,12 +117,14 @@ pub struct CacheRecord {
     /// Cache resident bytes at run end (summed across merged restarts).
     pub bytes: u64,
 }
+}
 
+wire_record! { nested
 /// One pinned suite instance and the algorithms measured on it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceRecord {
     /// Stable instance name (e.g. `"chain-4x300-sol1"`).
-    pub name: String,
+    pub name: String as "instance",
     /// Query shape (`"chain"`, `"clique"`, …).
     pub shape: String,
     /// Number of query variables / datasets.
@@ -128,7 +136,9 @@ pub struct InstanceRecord {
     /// Per-algorithm measurements, in suite order.
     pub algos: Vec<AlgoRecord>,
 }
+}
 
+wire_record! { nested
 /// Measurements of one algorithm on one instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlgoRecord {
@@ -158,6 +168,7 @@ pub struct AlgoRecord {
     pub curve: Vec<CurvePoint>,
     /// Per-phase timer breakdown of the median-wall repetition.
     pub phases: Vec<PhaseSnapshot>,
+}
 }
 
 impl AlgoRecord {
@@ -277,25 +288,13 @@ impl BenchSnapshot {
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("format".into(), Json::Str(SNAPSHOT_FORMAT.into())),
-            ("version".into(), Json::Num(SNAPSHOT_VERSION as f64)),
+            ("version".into(), Json::U64(SNAPSHOT_VERSION)),
             ("label".into(), Json::Str(self.label.clone())),
-            ("reps".into(), Json::Num(self.reps as f64)),
-            (
-                "suite".into(),
-                Json::Arr(self.instances.iter().map(instance_json).collect()),
-            ),
-            (
-                "memory".into(),
-                Json::Arr(self.memory.iter().map(memory_json).collect()),
-            ),
-            (
-                "cache".into(),
-                Json::Arr(self.cache.iter().map(cache_json).collect()),
-            ),
-            (
-                "explain".into(),
-                Json::Arr(self.explain.iter().map(explain_json).collect()),
-            ),
+            ("reps".into(), Json::U64(self.reps)),
+            ("suite".into(), self.instances.to_json()),
+            ("memory".into(), self.memory.to_json()),
+            ("cache".into(), self.cache.to_json()),
+            ("explain".into(), self.explain.to_json()),
         ])
     }
 
@@ -347,35 +346,15 @@ impl BenchSnapshot {
             .iter()
             .map(parse_instance)
             .collect::<Result<Vec<_>, _>>()?;
-        // `memory` and `cache` are optional so pre-section snapshots stay
+        // The record sections are optional so pre-section snapshots stay
         // readable; when present they must be well-formed.
-        let memory = match doc.get("memory") {
-            None => Vec::new(),
-            Some(section) => section
-                .as_array()
-                .ok_or_else(|| SnapshotError::Schema("\"memory\" must be an array".into()))?
-                .iter()
-                .map(parse_memory)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let cache = match doc.get("cache") {
-            None => Vec::new(),
-            Some(section) => section
-                .as_array()
-                .ok_or_else(|| SnapshotError::Schema("\"cache\" must be an array".into()))?
-                .iter()
-                .map(parse_cache)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let explain = match doc.get("explain") {
-            None => Vec::new(),
-            Some(section) => section
-                .as_array()
-                .ok_or_else(|| SnapshotError::Schema("\"explain\" must be an array".into()))?
-                .iter()
-                .map(parse_explain)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+        let memory = section(&doc, "memory", |rec| {
+            let mut rec: MemoryRecord = read(rec, "memory record")?;
+            rec.components.sort();
+            Ok(rec)
+        })?;
+        let cache = section(&doc, "cache", |rec| read(rec, "cache record"))?;
+        let explain = section(&doc, "explain", |rec| read(rec, "explain record"))?;
         Ok(BenchSnapshot {
             label,
             reps,
@@ -404,185 +383,56 @@ impl BenchSnapshot {
     }
 }
 
-fn instance_json(inst: &InstanceRecord) -> Json {
-    Json::Obj(vec![
-        ("instance".into(), Json::Str(inst.name.clone())),
-        ("shape".into(), Json::Str(inst.shape.clone())),
-        ("n_vars".into(), Json::Num(inst.n_vars as f64)),
-        ("cardinality".into(), Json::Num(inst.cardinality as f64)),
-        ("seed".into(), Json::Num(inst.seed as f64)),
-        (
-            "algos".into(),
-            Json::Arr(inst.algos.iter().map(algo_json).collect()),
-        ),
-    ])
-}
-
-fn algo_json(algo: &AlgoRecord) -> Json {
-    let opt_u64 = |v: Option<u64>| v.map_or(Json::Null, |x| Json::Num(x as f64));
-    let opt_f64 = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
-    Json::Obj(vec![
-        ("algo".into(), Json::Str(algo.algo.clone())),
-        (
-            "counters".into(),
-            Json::Obj(
-                algo.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                    .collect(),
-            ),
-        ),
-        ("best_similarity".into(), Json::Num(algo.best_similarity)),
-        ("auc_steps".into(), Json::Num(algo.auc_steps)),
-        (
-            "steps_to".into(),
-            Json::Obj(
-                algo.steps_to
-                    .iter()
-                    .map(|(k, v)| (k.clone(), opt_u64(*v)))
-                    .collect(),
-            ),
-        ),
-        ("wall_ms_median".into(), Json::Num(algo.wall_ms_median)),
-        (
-            "wall_ms_reps".into(),
-            Json::Arr(algo.wall_ms_reps.iter().map(|&v| Json::Num(v)).collect()),
-        ),
-        ("steps_per_sec".into(), Json::Num(algo.steps_per_sec)),
-        ("auc_wall".into(), Json::Num(algo.auc_wall)),
-        (
-            "time_to_ms".into(),
-            Json::Obj(
-                algo.time_to_ms
-                    .iter()
-                    .map(|(k, v)| (k.clone(), opt_f64(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "curve".into(),
-            Json::Arr(
-                algo.curve
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("step".into(), Json::Num(p.step as f64)),
-                            ("wall_ms".into(), Json::Num(p.wall_ms)),
-                            ("similarity".into(), Json::Num(p.similarity)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "phases".into(),
-            Json::Arr(
-                algo.phases
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("path".into(), Json::Str(p.path.clone())),
-                            ("calls".into(), Json::Num(p.calls as f64)),
-                            ("steps".into(), Json::Num(p.steps as f64)),
-                            ("wall_secs".into(), Json::Num(p.wall.as_secs_f64())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn memory_json(rec: &MemoryRecord) -> Json {
-    Json::Obj(vec![
-        ("instance".into(), Json::Str(rec.instance.clone())),
-        (
-            "components".into(),
-            Json::Obj(
-                rec.components
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                    .collect(),
-            ),
-        ),
-        ("total_bytes".into(), Json::Num(rec.total_bytes as f64)),
-    ])
-}
-
-fn cache_json(rec: &CacheRecord) -> Json {
-    Json::Obj(vec![
-        ("instance".into(), Json::Str(rec.instance.clone())),
-        ("algo".into(), Json::Str(rec.algo.clone())),
-        ("hits".into(), Json::Num(rec.hits as f64)),
-        ("misses".into(), Json::Num(rec.misses as f64)),
-        (
-            "invalidations_reassign".into(),
-            Json::Num(rec.invalidations_reassign as f64),
-        ),
-        (
-            "invalidations_penalty".into(),
-            Json::Num(rec.invalidations_penalty as f64),
-        ),
-        ("bytes".into(), Json::Num(rec.bytes as f64)),
-    ])
-}
-
-fn explain_json(rec: &ExplainRecord) -> Json {
-    let report = Json::parse(&format!("{{{}}}", rec.report.to_json_fields()))
-        .expect("explain report serialisation is valid JSON");
-    let mut fields = vec![("instance".into(), Json::Str(rec.instance.clone()))];
-    if let Json::Obj(entries) = report {
-        fields.extend(entries);
+/// Decodes the optional top-level record array `name` with `parse`.
+fn section<T>(
+    doc: &Json,
+    name: &str,
+    parse: impl Fn(&Json) -> Result<T, SnapshotError>,
+) -> Result<Vec<T>, SnapshotError> {
+    match doc.get(name) {
+        None => Ok(Vec::new()),
+        Some(records) => records
+            .as_array()
+            .ok_or_else(|| SnapshotError::Schema(format!("{name:?} must be an array")))?
+            .iter()
+            .map(parse)
+            .collect(),
     }
-    Json::Obj(fields)
 }
 
-fn parse_explain(doc: &Json) -> Result<ExplainRecord, SnapshotError> {
-    let instance = req_str(doc, "instance", "explain record")?.to_string();
-    let report = ExplainReport::from_json(doc).ok_or_else(|| {
-        SnapshotError::Schema(format!(
-            "explain record {instance:?} is missing a required report field"
-        ))
+/// Decodes one record, naming it in any error by `what` and its
+/// `instance`/`algo` identity.
+fn read<T: Record>(doc: &Json, what: &str) -> Result<T, SnapshotError> {
+    T::read(doc).map_err(|e| {
+        let id: Vec<&str> = ["instance", "algo"]
+            .iter()
+            .filter_map(|k| doc.get(k).and_then(Json::as_str))
+            .collect();
+        SnapshotError::Schema(format!("{what} {:?} {e}", id.join("/")))
+    })
+}
+
+/// Decodes one suite instance; an algorithm record that fails to decode
+/// is named in the error.
+fn parse_instance(doc: &Json) -> Result<InstanceRecord, SnapshotError> {
+    let mut inst: InstanceRecord = read(doc, "instance").map_err(|e| {
+        let name = doc.get("instance").and_then(Json::as_str).unwrap_or("?");
+        let algos = doc
+            .get("algos")
+            .and_then(Json::as_array)
+            .unwrap_or_default();
+        algos
+            .iter()
+            .find_map(|algo| read::<AlgoRecord>(algo, &format!("instance {name:?} algo")).err())
+            .unwrap_or(e)
     })?;
-    Ok(ExplainRecord { instance, report })
-}
-
-fn parse_memory(doc: &Json) -> Result<MemoryRecord, SnapshotError> {
-    let instance = req_str(doc, "instance", "memory record")?.to_string();
-    let ctx = format!("memory record {instance:?}");
-    let components_obj = req(doc, "components", &ctx)?
-        .as_object()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"components\" must be an object")))?;
-    let mut components = Vec::with_capacity(components_obj.len());
-    for (k, v) in components_obj {
-        let v = v.as_u64().ok_or_else(|| {
-            SnapshotError::Schema(format!(
-                "{ctx} component {k:?} must be a non-negative integer"
-            ))
-        })?;
-        components.push((k.clone(), v));
+    if inst.algos.is_empty() {
+        return schema_err(format!("instance {:?} has no algorithm records", inst.name));
     }
-    components.sort();
-    Ok(MemoryRecord {
-        total_bytes: req_u64(doc, "total_bytes", &ctx)?,
-        instance,
-        components,
-    })
-}
-
-fn parse_cache(doc: &Json) -> Result<CacheRecord, SnapshotError> {
-    let instance = req_str(doc, "instance", "cache record")?.to_string();
-    let algo = req_str(doc, "algo", "cache record")?.to_string();
-    let ctx = format!("cache record {instance}/{algo}");
-    Ok(CacheRecord {
-        hits: req_u64(doc, "hits", &ctx)?,
-        misses: req_u64(doc, "misses", &ctx)?,
-        invalidations_reassign: req_u64(doc, "invalidations_reassign", &ctx)?,
-        invalidations_penalty: req_u64(doc, "invalidations_penalty", &ctx)?,
-        bytes: req_u64(doc, "bytes", &ctx)?,
-        instance,
-        algo,
-    })
+    for algo in &mut inst.algos {
+        algo.counters.sort();
+    }
+    Ok(inst)
 }
 
 fn req<'a>(doc: &'a Json, field: &str, ctx: &str) -> Result<&'a Json, SnapshotError> {
@@ -604,137 +454,10 @@ fn req_u64(doc: &Json, field: &str, ctx: &str) -> Result<u64, SnapshotError> {
     })
 }
 
-fn req_f64(doc: &Json, field: &str, ctx: &str) -> Result<f64, SnapshotError> {
-    req(doc, field, ctx)?
-        .as_f64()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} field {field:?} must be a number")))
-}
-
-fn parse_instance(doc: &Json) -> Result<InstanceRecord, SnapshotError> {
-    let name = req_str(doc, "instance", "suite entry")?.to_string();
-    let ctx = format!("instance {name:?}");
-    let algos = req(doc, "algos", &ctx)?
-        .as_array()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} field \"algos\" must be an array")))?;
-    if algos.is_empty() {
-        return schema_err(format!("{ctx} has no algorithm records"));
-    }
-    Ok(InstanceRecord {
-        shape: req_str(doc, "shape", &ctx)?.to_string(),
-        n_vars: req_u64(doc, "n_vars", &ctx)?,
-        cardinality: req_u64(doc, "cardinality", &ctx)?,
-        seed: req_u64(doc, "seed", &ctx)?,
-        algos: algos
-            .iter()
-            .map(|a| parse_algo(a, &name))
-            .collect::<Result<Vec<_>, _>>()?,
-        name,
-    })
-}
-
-fn parse_algo(doc: &Json, instance: &str) -> Result<AlgoRecord, SnapshotError> {
-    let algo = req_str(doc, "algo", "algo record")?.to_string();
-    let ctx = format!("{instance}/{algo}");
-
-    let counters_obj = req(doc, "counters", &ctx)?
-        .as_object()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"counters\" must be an object")))?;
-    let mut counters = Vec::with_capacity(counters_obj.len());
-    for (k, v) in counters_obj {
-        let v = v.as_u64().ok_or_else(|| {
-            SnapshotError::Schema(format!(
-                "{ctx} counter {k:?} must be a non-negative integer"
-            ))
-        })?;
-        counters.push((k.clone(), v));
-    }
-    counters.sort();
-
-    let opt_map_u64 = |field: &str| -> Result<Vec<(String, Option<u64>)>, SnapshotError> {
-        let obj = req(doc, field, &ctx)?
-            .as_object()
-            .ok_or_else(|| SnapshotError::Schema(format!("{ctx} {field:?} must be an object")))?;
-        obj.iter()
-            .map(|(k, v)| match v {
-                Json::Null => Ok((k.clone(), None)),
-                v => v.as_u64().map(|x| (k.clone(), Some(x))).ok_or_else(|| {
-                    SnapshotError::Schema(format!("{ctx} {field}[{k:?}] must be integer or null"))
-                }),
-            })
-            .collect()
-    };
-    let opt_map_f64 = |field: &str| -> Result<Vec<(String, Option<f64>)>, SnapshotError> {
-        let obj = req(doc, field, &ctx)?
-            .as_object()
-            .ok_or_else(|| SnapshotError::Schema(format!("{ctx} {field:?} must be an object")))?;
-        obj.iter()
-            .map(|(k, v)| match v {
-                Json::Null => Ok((k.clone(), None)),
-                v => v.as_f64().map(|x| (k.clone(), Some(x))).ok_or_else(|| {
-                    SnapshotError::Schema(format!("{ctx} {field}[{k:?}] must be number or null"))
-                }),
-            })
-            .collect()
-    };
-
-    let wall_ms_reps = req(doc, "wall_ms_reps", &ctx)?
-        .as_array()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"wall_ms_reps\" must be an array")))?
-        .iter()
-        .map(|v| {
-            v.as_f64().ok_or_else(|| {
-                SnapshotError::Schema(format!("{ctx} \"wall_ms_reps\" entries must be numbers"))
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let curve = req(doc, "curve", &ctx)?
-        .as_array()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"curve\" must be an array")))?
-        .iter()
-        .map(|p| {
-            Ok(CurvePoint {
-                step: req_u64(p, "step", &format!("{ctx} curve point"))?,
-                wall_ms: req_f64(p, "wall_ms", &format!("{ctx} curve point"))?,
-                similarity: req_f64(p, "similarity", &format!("{ctx} curve point"))?,
-            })
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    let phases = req(doc, "phases", &ctx)?
-        .as_array()
-        .ok_or_else(|| SnapshotError::Schema(format!("{ctx} \"phases\" must be an array")))?
-        .iter()
-        .map(|p| {
-            let pctx = format!("{ctx} phase");
-            Ok(PhaseSnapshot {
-                path: req_str(p, "path", &pctx)?.to_string(),
-                calls: req_u64(p, "calls", &pctx)?,
-                steps: req_u64(p, "steps", &pctx)?,
-                wall: Duration::from_secs_f64(req_f64(p, "wall_secs", &pctx)?.max(0.0)),
-            })
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    Ok(AlgoRecord {
-        counters,
-        best_similarity: req_f64(doc, "best_similarity", &ctx)?,
-        auc_steps: req_f64(doc, "auc_steps", &ctx)?,
-        steps_to: opt_map_u64("steps_to")?,
-        wall_ms_median: req_f64(doc, "wall_ms_median", &ctx)?,
-        wall_ms_reps,
-        steps_per_sec: req_f64(doc, "steps_per_sec", &ctx)?,
-        auc_wall: req_f64(doc, "auc_wall", &ctx)?,
-        time_to_ms: opt_map_f64("time_to_ms")?,
-        curve,
-        phases,
-        algo,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     pub(crate) fn sample_snapshot(label: &str) -> BenchSnapshot {
         let mut curve = AnytimeCurve::new();

@@ -15,6 +15,7 @@
 //! [`crate::MetricsSnapshot`]); their `calls` and `steps` fields are
 //! nevertheless exact counters.
 
+use crate::wire::wire_record;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -154,6 +155,7 @@ impl Drop for PhaseSpan {
     }
 }
 
+wire_record! { nested
 /// Frozen aggregate for one phase path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSnapshot {
@@ -164,7 +166,8 @@ pub struct PhaseSnapshot {
     /// Steps attributed while this span was innermost.
     pub steps: u64,
     /// Total wall-clock time spent inside the span.
-    pub wall: Duration,
+    pub wall: Duration as "wall_secs",
+}
 }
 
 /// Merges several phase-snapshot lists (e.g. one per portfolio restart)
