@@ -54,7 +54,7 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Options that take a value (everything else after `--` is a flag).
+/// Options that take a value.
 const VALUE_OPTIONS: &[&str] = &[
     "out",
     "n",
@@ -65,7 +65,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "query",
     "algo",
     "backend",
-    "grid-threads",
     "seconds",
     "iterations",
     "top",
@@ -93,6 +92,10 @@ const VALUE_OPTIONS: &[&str] = &[
     "wall-slack-ms",
 ];
 
+/// Boolean `--flag` switches. Any other `--name` is rejected, so a
+/// misspelt or retired option fails loudly instead of being ignored.
+const SWITCHES: &[&str] = &["follow", "stall-abort", "no-tty", "help"];
+
 impl Args {
     /// Parses an iterator of arguments (excluding the program name).
     pub fn parse<I: IntoIterator<Item = String>>(items: I) -> Result<Args, ArgError> {
@@ -118,8 +121,10 @@ impl Args {
                         }
                         _ => return Err(ArgError::MissingValue(rest.to_string())),
                     }
-                } else {
+                } else if SWITCHES.contains(&rest) {
                     args.flags.push(rest.to_string());
+                } else {
+                    return Err(ArgError::UnexpectedArgument(item));
                 }
             } else if args.command.is_none() {
                 args.command = Some(item);
@@ -166,6 +171,15 @@ impl Args {
         }
     }
 
+    /// Fails on the first positional argument, for commands that take
+    /// none.
+    pub fn no_positionals(&self) -> Result<(), ArgError> {
+        match self.positionals.first() {
+            Some(extra) => Err(ArgError::UnexpectedArgument(extra.clone())),
+            None => Ok(()),
+        }
+    }
+
     /// The first positional argument, for single-argument commands.
     pub fn arg(&self) -> Option<&str> {
         self.positionals.first().map(String::as_str)
@@ -188,12 +202,12 @@ mod tests {
 
     #[test]
     fn parses_command_and_options() {
-        let a = parse("solve --algo ils --seconds 2.5 --verbose").unwrap();
+        let a = parse("solve --algo ils --seconds 2.5 --follow").unwrap();
         assert_eq!(a.command.as_deref(), Some("solve"));
         assert_eq!(a.value("algo"), Some("ils"));
         assert_eq!(a.value("seconds"), Some("2.5"));
-        assert!(a.flag("verbose"));
-        assert!(!a.flag("quiet"));
+        assert!(a.flag("follow"));
+        assert!(!a.flag("stall-abort"));
     }
 
     #[test]
@@ -275,5 +289,32 @@ mod tests {
             parse("solve --bogus=1"),
             Err(ArgError::UnexpectedArgument(_))
         ));
+    }
+
+    #[test]
+    fn unknown_option_is_rejected() {
+        assert_eq!(
+            parse("solve --grid-threads 2").unwrap_err(),
+            ArgError::UnexpectedArgument("--grid-threads".into())
+        );
+        assert_eq!(
+            parse("solve --no-such-switch").unwrap_err(),
+            ArgError::UnexpectedArgument("--no-such-switch".into())
+        );
+    }
+
+    #[test]
+    fn stray_positionals_are_reported() {
+        assert!(parse("solve --query chain")
+            .unwrap()
+            .no_positionals()
+            .is_ok());
+        assert_eq!(
+            parse("solve extra --query chain")
+                .unwrap()
+                .no_positionals()
+                .unwrap_err(),
+            ArgError::UnexpectedArgument("extra".into())
+        );
     }
 }

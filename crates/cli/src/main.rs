@@ -6,9 +6,9 @@
 //! mwsj solve    --data a.csv --data b.csv --data c.csv --query chain
 //!               [--algo ils|gils|sea|sea-hybrid|ibb|two-step] [--seconds 2] [--iterations N]
 //!               [--seed 42] [--top 5] [--restarts K] [--threads T]
-//!               [--backend rtree|grid] [--grid-threads T]
+//!               [--backend rtree|grid]
 //! mwsj join     --data a.csv --data b.csv --query 0-1 [--algo wr|st|pjm] [--limit 100]
-//!               [--backend rtree|grid] [--grid-threads T]
+//!               [--backend rtree|grid]
 //! mwsj explain  --data a.csv --data b.csv --query chain [--backend rtree|grid] [--metrics-out est.jsonl]
 //! mwsj report   run.jsonl|BENCH_label.json
 //! mwsj watch    run.jsonl [--poll-ms 50] [--timeout-secs 600] [--no-tty]
@@ -97,8 +97,6 @@ USAGE:
              [--backend rtree|grid]         spatial index backend: R*-trees (default) or a
                                             PBSM-style uniform grid (identical results,
                                             different cost profile; see mwsj explain)
-             [--grid-threads T]             fan grid queries over T threads (grid backend
-                                            only; results are bit-identical for any T)
              [--metrics-out FILE]           structured JSONL run events + metrics
              [--trace-out FILE]             convergence trace as JSONL trace points
              [--profile-out FILE]           per-phase wall-clock profile (folded stacks,
@@ -116,7 +114,7 @@ USAGE:
              [--follow]                     flush each event line immediately so the
                                             metrics file can be tailed live
   mwsj join --data FILE... --query SPEC [--algo wr|st|pjm] [--limit K] [--seconds S]
-            [--backend rtree|grid] [--grid-threads T] [--metrics-out FILE]
+            [--backend rtree|grid] [--metrics-out FILE]
   mwsj explain --data FILE... --query SPEC [--backend rtree|grid] [--metrics-out FILE]
                                             pre-run cost & selectivity report, no solving:
                                             per-edge selectivity estimates (with exact
@@ -183,26 +181,19 @@ fn budget_from(args: &Args) -> Result<SearchBudget, String> {
     })
 }
 
-/// Applies `--backend rtree|grid` and `--grid-threads N` to a freshly
-/// built instance — shared by `solve`, `join` and `explain`.
+/// Applies `--backend rtree|grid` to a freshly built instance — shared by
+/// `solve`, `join` and `explain`.
 fn apply_backend(args: &Args, instance: Instance) -> Result<Instance, String> {
     let backend = match args.value("backend") {
         None => BackendKind::RTree,
         Some(name) => BackendKind::parse(name)
             .ok_or_else(|| format!("unknown backend '{name}' (expected rtree|grid)"))?,
     };
-    let grid_threads: usize = args
-        .parse_or("grid-threads", 1, "a thread count")
-        .map_err(|e| e.to_string())?;
-    if args.value("grid-threads").is_some() && backend != BackendKind::Grid {
-        return Err("--grid-threads needs --backend grid".into());
-    }
-    Ok(instance
-        .with_backend(backend)
-        .with_grid_threads(grid_threads))
+    Ok(instance.with_backend(backend))
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
+    args.no_positionals().map_err(|e| e.to_string())?;
     let out = args.required("out").map_err(|e| e.to_string())?.to_string();
     let n: usize = args
         .parse_or("n", 10_000, "an object count")
@@ -241,6 +232,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
+    args.no_positionals().map_err(|e| e.to_string())?;
     for path in args.values("data") {
         let ds = Dataset::read_csv_file(path).map_err(|e| format!("{path}: {e}"))?;
         let bbox = ds
@@ -261,6 +253,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_solve(args: &Args) -> Result<(), String> {
+    args.no_positionals().map_err(|e| e.to_string())?;
     let datasets = load_datasets(args)?;
     let n_vars = datasets.len();
     let query = args.required("query").map_err(|e| e.to_string())?;
@@ -588,6 +581,7 @@ fn run_portfolio<A: AnytimeSearch>(
 /// Deterministic: repeated invocations on the same inputs are
 /// byte-identical (the report is a pure function of the datasets).
 fn cmd_explain(args: &Args) -> Result<(), String> {
+    args.no_positionals().map_err(|e| e.to_string())?;
     let datasets = load_datasets(args)?;
     let n_vars = datasets.len();
     let query = args.required("query").map_err(|e| e.to_string())?;
@@ -704,6 +698,7 @@ fn print_explain(report: &ExplainReport) {
 }
 
 fn cmd_join(args: &Args) -> Result<(), String> {
+    args.no_positionals().map_err(|e| e.to_string())?;
     let datasets = load_datasets(args)?;
     let n_vars = datasets.len();
     let query = args.required("query").map_err(|e| e.to_string())?;
@@ -1121,6 +1116,7 @@ fn cmd_bench_compare(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_hard_density(args: &Args) -> Result<(), String> {
+    args.no_positionals().map_err(|e| e.to_string())?;
     let shape = match args.required("shape").map_err(|e| e.to_string())? {
         "chain" => QueryShape::Chain,
         "clique" => QueryShape::Clique,

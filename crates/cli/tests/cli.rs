@@ -112,6 +112,49 @@ fn solve_rejects_bad_query() {
     assert!(!out.status.success());
 }
 
+/// Unknown options and stray positionals fail loudly instead of being
+/// ignored; the error names the offending argument. `--grid-threads` is
+/// a retired option: grid queries are single-threaded.
+#[test]
+fn unknown_options_and_stray_positionals_are_rejected() {
+    let dir = temp_dir("strict_args");
+    let a = generate(&dir, "a.csv", 50, 0.1, 1);
+    let a = a.to_str().unwrap();
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["solve", "--backend", "grid", "--grid-threads", "2"],
+            "--grid-threads",
+        ),
+        (&["solve", "--no-such-switch"], "--no-such-switch"),
+        (&["solve", "stray"], "stray"),
+        (&["join", "stray"], "stray"),
+        (&["explain", "stray"], "stray"),
+    ];
+    for (extra, named) in cases {
+        let out = mwsj()
+            .args(&extra[..1])
+            .args([
+                "--data",
+                a,
+                "--data",
+                a,
+                "--query",
+                "0-1",
+                "--iterations",
+                "10",
+            ])
+            .args(&extra[1..])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "expected {extra:?} to be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unexpected argument '{named}'")),
+            "{extra:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn exact_join_counts_solutions() {
     let dir = temp_dir("join");

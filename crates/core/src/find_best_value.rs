@@ -83,11 +83,8 @@ pub(crate) fn best_value_in_windows(
     node_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Option<BestValue> {
-    // Backend is matched before the closures are built: the grid kernel
-    // fans cells across threads and therefore needs `Fn + Sync` scorers,
-    // while the R*-tree kernel keeps its original `FnMut` contract.
-    let best = match (instance.backend(), penalties) {
-        (BackendKind::RTree, Some((table, lambda))) => run_kernel(
+    let best = match penalties {
+        Some((table, lambda)) => run_kernel(
             instance,
             var,
             windows,
@@ -95,27 +92,11 @@ pub(crate) fn best_value_in_windows(
             node_accesses,
             level_accesses,
         ),
-        (BackendKind::RTree, None) => run_kernel(
+        None => run_kernel(
             instance,
             var,
             windows,
             |_, count| count as f64,
-            node_accesses,
-            level_accesses,
-        ),
-        (BackendKind::Grid, Some((table, lambda))) => grid::find_best_in_windows(
-            instance.grid(var),
-            windows,
-            |&object, count| count as f64 - lambda * table.get(var, object as usize) as f64,
-            instance.grid_threads(),
-            node_accesses,
-            level_accesses,
-        ),
-        (BackendKind::Grid, None) => grid::find_best_in_windows(
-            instance.grid(var),
-            windows,
-            |_, count| count as f64,
-            instance.grid_threads(),
             node_accesses,
             level_accesses,
         ),
@@ -127,10 +108,11 @@ pub(crate) fn best_value_in_windows(
     })
 }
 
-/// Dispatches the traversal to the leaf layout the instance selects. The
-/// two kernels are bit-identical in results and node accesses (DESIGN.md
-/// §5f); [`LeafLayout::Flat`] scans the frozen SoA arrays and is the
-/// default hot path.
+/// Dispatches the traversal to the backend and leaf layout the instance
+/// selects. The two R*-tree kernels are bit-identical in results and node
+/// accesses (DESIGN.md §5f); [`LeafLayout::Flat`] scans the frozen SoA
+/// arrays and is the default hot path. The grid kernel returns the same
+/// best score with its own tie-break order and access unit (§5j).
 fn run_kernel(
     instance: &Instance,
     var: VarId,
@@ -140,8 +122,15 @@ fn run_kernel(
     level_accesses: &mut [u64],
 ) -> Option<multiwindow::BestLeaf<u32>> {
     let root = instance.tree(var).root_node();
-    match instance.leaf_layout() {
-        LeafLayout::Flat => multiwindow::find_best_leaf_flat_leveled(
+    match (instance.backend(), instance.leaf_layout()) {
+        (BackendKind::Grid, _) => grid::find_best_in_windows(
+            instance.grid(var),
+            windows,
+            score,
+            node_accesses,
+            level_accesses,
+        ),
+        (BackendKind::RTree, LeafLayout::Flat) => multiwindow::find_best_leaf_flat_leveled(
             root,
             instance.flat_leaves(var),
             windows,
@@ -149,7 +138,7 @@ fn run_kernel(
             node_accesses,
             level_accesses,
         ),
-        LeafLayout::Entry => {
+        (BackendKind::RTree, LeafLayout::Entry) => {
             multiwindow::find_best_leaf_leveled(root, windows, score, node_accesses, level_accesses)
         }
     }

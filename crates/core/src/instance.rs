@@ -3,7 +3,7 @@
 use mwsj_geom::Rect;
 use mwsj_obs::{MemoryFootprint, ResourceReport};
 use mwsj_query::{ConflictState, QueryGraph, Solution, VarId};
-use mwsj_rtree::{FlatLeaves, RTree, RTreeParams, UniformGrid};
+use mwsj_rtree::{FlatLeaves, RTree, UniformGrid};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::fmt;
@@ -78,9 +78,9 @@ pub(crate) struct IndexedDataset {
 }
 
 impl IndexedDataset {
-    fn build(rects: Vec<Rect>, params: RTreeParams) -> Self {
+    fn build(rects: Vec<Rect>) -> Self {
         let items: Vec<(Rect, u32)> = rects.iter().copied().zip(0u32..).collect();
-        let tree = RTree::bulk_load_with_params(params, items);
+        let tree = RTree::bulk_load(items);
         let flat = tree.flat_leaves();
         IndexedDataset {
             rects,
@@ -139,9 +139,6 @@ pub struct Instance {
     data: Vec<Arc<IndexedDataset>>,
     leaf_layout: LeafLayout,
     backend: BackendKind,
-    /// Worker threads for intra-query grid parallelism (1 = sequential;
-    /// results are bit-identical at any setting).
-    grid_threads: usize,
 }
 
 impl Instance {
@@ -155,21 +152,9 @@ impl Instance {
     where
         D: AsRef<[Rect]>,
     {
-        Self::with_tree_params(graph, datasets, RTreeParams::default())
-    }
-
-    /// [`Instance::new`] with explicit R*-tree parameters.
-    pub fn with_tree_params<D>(
-        graph: QueryGraph,
-        datasets: impl IntoIterator<Item = D>,
-        params: RTreeParams,
-    ) -> Result<Self, InstanceError>
-    where
-        D: AsRef<[Rect]>,
-    {
         let data: Vec<Arc<IndexedDataset>> = datasets
             .into_iter()
-            .map(|d| Arc::new(IndexedDataset::build(d.as_ref().to_vec(), params)))
+            .map(|d| Arc::new(IndexedDataset::build(d.as_ref().to_vec())))
             .collect();
         if data.len() != graph.n_vars() {
             return Err(InstanceError::DatasetCountMismatch {
@@ -185,7 +170,6 @@ impl Instance {
             data,
             leaf_layout: LeafLayout::default(),
             backend: BackendKind::default(),
-            grid_threads: 1,
         })
     }
 
@@ -196,10 +180,7 @@ impl Instance {
     where
         D: AsRef<[Rect]>,
     {
-        let shared = Arc::new(IndexedDataset::build(
-            dataset.as_ref().to_vec(),
-            RTreeParams::default(),
-        ));
+        let shared = Arc::new(IndexedDataset::build(dataset.as_ref().to_vec()));
         if shared.rects.is_empty() {
             return Err(InstanceError::EmptyDataset(0));
         }
@@ -209,7 +190,6 @@ impl Instance {
             data: vec![shared; n],
             leaf_layout: LeafLayout::default(),
             backend: BackendKind::default(),
-            grid_threads: 1,
         })
     }
 
@@ -241,24 +221,10 @@ impl Instance {
         self
     }
 
-    /// Sets the worker-thread count for intra-query grid parallelism
-    /// (builder style). Clamped to at least 1; query results and access
-    /// counters are bit-identical at any setting (DESIGN.md §5j).
-    pub fn with_grid_threads(mut self, threads: usize) -> Self {
-        self.grid_threads = threads.max(1);
-        self
-    }
-
     /// The spatial backend answering the index queries.
     #[inline]
     pub fn backend(&self) -> BackendKind {
         self.backend
-    }
-
-    /// Worker threads for intra-query grid parallelism.
-    #[inline]
-    pub fn grid_threads(&self) -> usize {
-        self.grid_threads
     }
 
     /// The uniform-grid index over variable `v`'s dataset (built on first

@@ -298,11 +298,7 @@ fn cost_based_order(instance: &Instance) -> Vec<usize> {
 }
 
 /// First-pair join on the grid backend: an index-nested-loop over `v0`'s
-/// objects, each probing `v1`'s grid with the transposed predicate. With
-/// `grid_threads() > 1` the probes fan out over scoped worker threads; the
-/// result is merged back in `v0`-object order and the per-probe cell-access
-/// counts are summed, so both the pair list and `node_accesses` are
-/// bit-identical to the sequential run (see DESIGN.md §5j).
+/// objects, each probing `v1`'s grid with the transposed predicate.
 fn grid_pair_join(
     instance: &Instance,
     v0: usize,
@@ -310,50 +306,12 @@ fn grid_pair_join(
     pred: Predicate,
     node_accesses: &mut u64,
 ) -> Vec<Vec<usize>> {
-    use mwsj_rtree::grid;
-
     let g = instance.grid(v1);
-    let n = instance.cardinality(v0);
-    let probe = |a: usize, accesses: &mut u64| -> Vec<Vec<usize>> {
-        let w = instance.rect(v0, a);
-        grid::query_predicate(g, pred.transpose(), &w, 1, accesses)
-            .into_iter()
-            .map(|b| vec![a, b as usize])
-            .collect()
-    };
-    let threads = instance.grid_threads().min(n);
-    if threads <= 1 {
-        let mut out = Vec::new();
-        for a in 0..n {
-            out.extend(probe(a, node_accesses));
-        }
-        return out;
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    // (probe object, its pair rows, its cell accesses) per finished probe.
-    type ProbeResult = (usize, Vec<Vec<usize>>, u64);
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<ProbeResult>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let a = next.fetch_add(1, Ordering::Relaxed);
-                if a >= n {
-                    break;
-                }
-                let mut accesses = 0u64;
-                let rows = probe(a, &mut accesses);
-                done.lock().expect("probe mutex").push((a, rows, accesses));
-            });
-        }
-    });
-    let mut done = done.into_inner().expect("probe mutex");
-    done.sort_unstable_by_key(|&(a, _, _)| a);
     let mut out = Vec::new();
-    for (_, rows, accesses) in done {
-        *node_accesses += accesses;
-        out.extend(rows);
+    for a in 0..instance.cardinality(v0) {
+        let w = instance.rect(v0, a);
+        let hits = mwsj_rtree::grid::query_predicate(g, pred.transpose(), &w, node_accesses);
+        out.extend(hits.into_iter().map(|b| vec![a, b as usize]));
     }
     out
 }

@@ -4,9 +4,7 @@
 //! the R*-tree backend everywhere results (rather than access counters)
 //! are concerned: `find_best_value` scores bit-equal with and without
 //! penalties, exact joins return identical solution sets, and the anytime
-//! heuristics reach the same quality on pinned planted workloads. On top
-//! of that the grid's intra-query parallelism must be invisible: 1 thread
-//! and 4 threads produce bit-identical results *and* counters.
+//! heuristics reach the same quality on pinned planted workloads.
 //!
 //! The generated datasets deliberately include duplicate-coordinate
 //! rectangles, a large boundary-straddling rectangle (replicated into
@@ -25,13 +23,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Clones an instance onto the grid backend with the given thread count.
-/// The clone shares the datasets (and their R*-trees) with the original,
-/// mirroring how the CLI and the bench A/B records switch backends.
-fn grid_clone(inst: &Instance, threads: usize) -> Instance {
-    inst.clone()
-        .with_backend(BackendKind::Grid)
-        .with_grid_threads(threads)
+/// Clones an instance onto the grid backend. The clone shares the
+/// datasets (and their R*-trees) with the original, mirroring how the CLI
+/// and the bench A/B records switch backends.
+fn grid_clone(inst: &Instance) -> Instance {
+    inst.clone().with_backend(BackendKind::Grid)
 }
 
 /// An arbitrary instance big enough that the uniform grid has several
@@ -84,8 +80,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `find_best_value` is backend-invariant: for every variable, with
-    /// and without penalties, the grid backend (at 1 and at 4 threads)
-    /// returns the same feasibility verdict and a bit-equal best score as
+    /// and without penalties, the grid backend returns the same feasibility verdict and a bit-equal best score as
     /// the R*-tree backend. The winning *object* may differ only when the
     /// score ties (R*-tree keeps the first visited, the grid keeps the
     /// canonical (cell, slot) minimum), so objects are not compared here.
@@ -99,42 +94,34 @@ proptest! {
             table.penalize(var, rng.random_range(0..inst.cardinality(var)));
         }
         let sol = inst.random_solution(&mut rng);
-        for threads in [1usize, 4] {
-            let grid = grid_clone(&inst, threads);
-            for var in 0..inst.n_vars() {
-                // λ = 0.25 is a binary fraction: scores stay exact in f64.
-                for penalties in [None, Some((&table, 0.25))] {
-                    let mut acc_r = 0u64;
-                    let mut acc_g = 0u64;
-                    let r = find_best_value(&inst, &sol, var, penalties, &mut acc_r);
-                    let g = find_best_value(&grid, &sol, var, penalties, &mut acc_g);
-                    match (r, g) {
-                        (None, None) => {}
-                        (Some(r), Some(g)) => {
-                            prop_assert_eq!(
-                                r.effective, g.effective,
-                                "var {} threads {}: score mismatch", var, threads
-                            );
-                            if penalties.is_none() {
-                                // Unpenalised, the score *is* the count.
-                                prop_assert_eq!(r.satisfied, g.satisfied);
-                            }
+        let grid = grid_clone(&inst);
+        for var in 0..inst.n_vars() {
+            // λ = 0.25 is a binary fraction: scores stay exact in f64.
+            for penalties in [None, Some((&table, 0.25))] {
+                let mut acc_r = 0u64;
+                let mut acc_g = 0u64;
+                let r = find_best_value(&inst, &sol, var, penalties, &mut acc_r);
+                let g = find_best_value(&grid, &sol, var, penalties, &mut acc_g);
+                match (r, g) {
+                    (None, None) => {}
+                    (Some(r), Some(g)) => {
+                        prop_assert_eq!(r.effective, g.effective, "var {}: score mismatch", var);
+                        if penalties.is_none() {
+                            // Unpenalised, the score *is* the count.
+                            prop_assert_eq!(r.satisfied, g.satisfied);
                         }
-                        (r, g) => prop_assert!(false, "rtree {:?} vs grid {:?}", r, g),
                     }
+                    (r, g) => prop_assert!(false, "rtree {:?} vs grid {:?}", r, g),
                 }
             }
         }
     }
 
-    /// WR, ST and PJM return identical solution *sets* on both backends,
-    /// and on the grid backend 1 thread vs 4 threads is bit-identical:
-    /// same solutions in the same order, same node-access counters.
+    /// WR, ST and PJM return identical solution *sets* on both backends.
     #[test]
     fn exact_joins_are_backend_invariant((inst, _) in arb_backend_instance()) {
         let budget = SearchBudget::seconds(120.0);
-        let grid1 = grid_clone(&inst, 1);
-        let grid4 = grid_clone(&inst, 4);
+        let grid = grid_clone(&inst);
 
         type JoinFn = fn(&Instance, &SearchBudget) -> mwsj_core::ExactJoinOutcome;
         let runs: [(&str, JoinFn); 3] = [
@@ -144,24 +131,12 @@ proptest! {
         ];
         for (name, run) in runs {
             let r = run(&inst, &budget);
-            let g1 = run(&grid1, &budget);
-            let g4 = run(&grid4, &budget);
-            prop_assert!(r.complete && g1.complete && g4.complete, "{name} truncated");
+            let g = run(&grid, &budget);
+            prop_assert!(r.complete && g.complete, "{name} truncated");
             prop_assert_eq!(
-                sorted(&r.solutions), sorted(&g1.solutions),
+                sorted(&r.solutions), sorted(&g.solutions),
                 "{} solution sets differ between backends", name
             );
-            // Thread-count invariance is *bit*-identical: order and
-            // counters included, per the determinism contract.
-            prop_assert_eq!(
-                &g1.solutions, &g4.solutions,
-                "{} grid solutions differ across thread counts", name
-            );
-            prop_assert_eq!(
-                g1.stats.node_accesses, g4.stats.node_accesses,
-                "{} grid node accesses differ across thread counts", name
-            );
-            prop_assert_eq!(g1.stats.steps, g4.stats.steps);
         }
     }
 }
@@ -189,7 +164,7 @@ fn heuristics_reach_equal_quality_on_both_backends() {
         }
         .generate();
         let inst = Instance::new(w.graph, w.datasets).unwrap();
-        let grid = grid_clone(&inst, 2);
+        let grid = grid_clone(&inst);
         let budget = SearchBudget::iterations(3_000);
 
         let ils_r =
@@ -224,45 +199,4 @@ fn heuristics_reach_equal_quality_on_both_backends() {
             "GILS {shape:?}"
         );
     }
-}
-
-/// A grid-backend heuristic run is bit-identical across thread counts:
-/// same best solution, same counters. The parallel fan-out inside the
-/// grid kernels merges deterministically, so the thread count must be
-/// unobservable end to end.
-#[test]
-fn grid_solve_is_thread_count_invariant() {
-    let w = WorkloadSpec {
-        shape: QueryShape::Chain,
-        n_vars: 5,
-        cardinality: 500,
-        target_solutions: 1.0,
-        plant: true,
-        distribution: Distribution::ZipfClustered {
-            clusters: 8,
-            sigma: 0.02,
-            exponent: 1.1,
-        },
-        seed: 42,
-    }
-    .generate();
-    let inst = Instance::new(w.graph, w.datasets).unwrap();
-    let budget = SearchBudget::iterations(2_000);
-    let g1 = Ils::new(IlsConfig::default()).run(
-        &grid_clone(&inst, 1),
-        &budget,
-        &mut StdRng::seed_from_u64(9),
-    );
-    let g4 = Ils::new(IlsConfig::default()).run(
-        &grid_clone(&inst, 4),
-        &budget,
-        &mut StdRng::seed_from_u64(9),
-    );
-    assert_eq!(g1.best.as_slice(), g4.best.as_slice());
-    assert_eq!(g1.best_violations, g4.best_violations);
-    assert_eq!(g1.best_similarity, g4.best_similarity);
-    assert_eq!(g1.stats.steps, g4.stats.steps);
-    assert_eq!(g1.stats.node_accesses, g4.stats.node_accesses);
-    assert_eq!(g1.stats.restarts, g4.stats.restarts);
-    assert_eq!(g1.stats.improvements, g4.stats.improvements);
 }

@@ -25,7 +25,7 @@ impl Point {
     }
 
     /// Squared Euclidean distance to `other` (avoids the square root when
-    /// only comparisons are needed, e.g. in k-NN search).
+    /// only comparisons are needed).
     #[inline]
     pub fn distance_sq(&self, other: &Point) -> f64 {
         let dx = self.x - other.x;

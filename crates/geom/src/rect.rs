@@ -185,7 +185,7 @@ impl Rect {
     }
 
     /// Minimum Euclidean distance between the rectangles (0 if they
-    /// intersect). Used by distance predicates and k-NN search.
+    /// intersect). Used by distance predicates.
     #[inline]
     pub fn min_distance(&self, other: &Rect) -> f64 {
         self.min_distance_sq(other).sqrt()

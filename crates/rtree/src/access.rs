@@ -2,19 +2,16 @@
 //!
 //! The paper reports index work as *node accesses* — in a disk-based
 //! system every node visit is a potential page read. [`AccessCounter`] is
-//! the one accounting primitive shared by **all** traversal paths of this
-//! crate: window/point/predicate queries ([`crate::RTree::window_counted`]
-//! and friends), k-NN ([`crate::RTree::nearest_neighbors_counted`]),
-//! insertion ([`crate::RTree::insert_counted`]), STR bulk loading
-//! ([`crate::RTree::bulk_load_with_params_counted`]) and the visit API
+//! the one accounting primitive shared by the read paths of this crate:
+//! window and predicate queries ([`crate::RTree::window_counted`],
+//! [`crate::RTree::query_predicate_counted`]) and the visit API
 //! ([`crate::RTree::root_node_counted`]).
 //!
 //! The counter is a single relaxed [`AtomicU64`], so it is `Sync`: one
 //! instance per caller (e.g. per portfolio restart) gives exact per-caller
 //! attribution without locking, and a shared instance aggregates across
 //! threads. Counting policy: **one increment per node whose entries are
-//! read or written**, at the moment the node is first touched by the
-//! operation.
+//! read**, at the moment the node is first touched by the operation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -11,10 +11,9 @@
 //! branches — the layout in-memory spatial join engines use for their
 //! scan phases.
 //!
-//! A `FlatLeaves` is a **snapshot**: it is built from the current tree
-//! contents ([`RTree::flat_leaves`]) and does not observe later inserts or
-//! deletes. The intended use is bulk-load-once read-many workloads (all of
-//! `mwsj-core`'s search instances); rebuild after mutating.
+//! A `FlatLeaves` is a frozen copy built from a packed tree
+//! ([`RTree::flat_leaves`]); trees are never mutated after packing, so the
+//! copy stays valid for the tree's lifetime.
 //!
 //! The counter-compatibility contract (DESIGN.md §5f) requires scans over
 //! this layout to be bit-identical to the entry layout: same coordinates,
@@ -39,7 +38,7 @@ pub struct FlatLeaves<T> {
     /// Leaf payloads, parallel to the coordinate arrays.
     values: Vec<T>,
     /// Per node-id `(start, len)` span into the arrays; `(0, 0)` for
-    /// internal (and free-listed) nodes.
+    /// internal nodes.
     spans: Vec<(u32, u32)>,
 }
 
@@ -53,9 +52,9 @@ impl<T: Copy> FlatLeaves<T> {
             hi_x: Vec::with_capacity(tree.len()),
             hi_y: Vec::with_capacity(tree.len()),
             values: Vec::with_capacity(tree.len()),
-            spans: vec![(0, 0); tree.node_count_slab()],
+            spans: vec![(0, 0); tree.node_count()],
         };
-        let mut stack = vec![tree.root_id()];
+        let mut stack = vec![NodeId::ROOT];
         while let Some(id) = stack.pop() {
             let node = tree.node(id);
             if node.is_leaf() {
@@ -144,26 +143,18 @@ mod tests {
             .collect()
     }
 
-    /// Every leaf node's span reproduces its entries verbatim, for both
-    /// bulk-load flavours and an incremental build.
+    /// Every leaf node's span reproduces its entries verbatim, at every
+    /// capacity (tree heights 3–6 over 2 000 entries).
     #[test]
     fn flat_view_matches_entry_layout_per_node() {
         let items = random_items(3, 2_000);
-        let mut incremental = RTree::with_params(RTreeParams::new(8));
-        for (r, v) in &items {
-            incremental.insert(*r, *v);
-        }
-        let trees = [
-            RTree::bulk_load_with_params(RTreeParams::new(8), items.clone()),
-            RTree::bulk_load_hilbert_with_params(RTreeParams::new(8), items.clone()),
-            incremental,
-        ];
-        for tree in &trees {
+        for m in [4, 8, 16, 32] {
+            let tree = RTree::bulk_load_with_params(RTreeParams::new(m), items.clone());
             let flat = tree.flat_leaves();
             assert_eq!(flat.len(), tree.len());
             assert!(flat.memory_bytes() > 0);
             // Walk the tree; at each leaf, the span must mirror the node.
-            let mut stack = vec![tree.root_id()];
+            let mut stack = vec![crate::node::NodeId::ROOT];
             let mut seen = 0usize;
             while let Some(id) = stack.pop() {
                 let node = tree.node(id);
@@ -192,7 +183,7 @@ mod tests {
 
     #[test]
     fn empty_tree_yields_empty_view() {
-        let tree: RTree<u32> = RTree::new();
+        let tree: RTree<u32> = RTree::bulk_load(Vec::new());
         let flat = tree.flat_leaves();
         assert!(flat.is_empty());
         assert_eq!(flat.len(), 0);

@@ -2,21 +2,19 @@
 //!
 //! Byte counts follow the trait's contract (`mwsj_obs::resource`):
 //! length-based, never capacity-based, so the same logical tree always
-//! reports the same bytes regardless of allocator growth or the `+1`
-//! transient-overflow headroom nodes reserve. The numbers are the
+//! reports the same bytes regardless of allocator growth. The numbers are the
 //! regression-gated working-set cost of keeping an index resident, not an
 //! allocator measurement.
 
 use crate::flat::FlatLeaves;
-use crate::node::{Entry, Node, NodeId};
+use crate::node::{Entry, Node};
 use crate::tree::RTree;
 use mwsj_obs::MemoryFootprint;
 use std::mem::size_of;
 
 impl<T> MemoryFootprint for RTree<T> {
-    /// Heap bytes of the node arena: one node header per slab slot
-    /// (free-listed slots keep their header resident), the stored entries
-    /// counted by `len`, and the free list itself.
+    /// Heap bytes of the node arena: one node header per slab slot and
+    /// the stored entries counted by `len`.
     fn memory_bytes(&self) -> u64 {
         let headers = self.nodes.len() as u64 * size_of::<Node<T>>() as u64;
         let entries: u64 = self
@@ -25,8 +23,7 @@ impl<T> MemoryFootprint for RTree<T> {
             .map(|node| node.entries.len() as u64)
             .sum::<u64>()
             * size_of::<Entry<T>>() as u64;
-        let free = self.free.len() as u64 * size_of::<NodeId>() as u64;
-        headers + entries + free
+        headers + entries
     }
 }
 
@@ -66,10 +63,11 @@ mod tests {
         fn footprint_is_deterministic_across_rebuilds(
             seed in 0u64..1_000,
             n in 1usize..400,
+            m in prop_oneof![Just(4usize), Just(8), Just(16), Just(32)],
         ) {
             let data = items(seed, n);
-            let a = RTree::bulk_load_with_params(RTreeParams::new(8), data.clone());
-            let b = RTree::bulk_load_with_params(RTreeParams::new(8), data);
+            let a = RTree::bulk_load_with_params(RTreeParams::new(m), data.clone());
+            let b = RTree::bulk_load_with_params(RTreeParams::new(m), data);
             prop_assert_eq!(
                 MemoryFootprint::memory_bytes(&a),
                 MemoryFootprint::memory_bytes(&b)
@@ -94,22 +92,18 @@ mod tests {
         }
     }
 
-    /// Incremental mutation keeps the accounting length-based: inserting
-    /// then deleting entries changes the byte count with the contents,
-    /// and free-listed slots still charge their node header.
+    /// The accounting is length-based: at every capacity an empty tree
+    /// charges one root header, and more entries charge more bytes.
     #[test]
-    fn tree_bytes_track_contents_not_capacity() {
-        let mut tree = RTree::with_params(RTreeParams::new(4));
-        let empty = MemoryFootprint::memory_bytes(&tree);
-        for (r, v) in items(7, 200) {
-            tree.insert(r, v);
+    fn tree_bytes_track_contents() {
+        for m in [4, 8, 16, 32] {
+            let bytes = |n: usize| {
+                let tree = RTree::bulk_load_with_params(RTreeParams::new(m), items(7, n));
+                MemoryFootprint::memory_bytes(&tree)
+            };
+            assert_eq!(bytes(0), size_of::<Node<u32>>() as u64, "M = {m}");
+            assert!(bytes(0) < bytes(50), "M = {m}");
+            assert!(bytes(50) < bytes(200), "M = {m}");
         }
-        let full = MemoryFootprint::memory_bytes(&tree);
-        assert!(full > empty);
-        for (r, v) in items(7, 200) {
-            assert!(tree.remove(&r, &v));
-        }
-        let drained = MemoryFootprint::memory_bytes(&tree);
-        assert!(drained < full, "deleting entries must shrink the count");
     }
 }

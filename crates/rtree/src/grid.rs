@@ -13,23 +13,19 @@
 //! cell range — so each result is reported exactly once without any hash
 //! set.
 //!
-//! Determinism contract (mirrors the portfolio's): candidate cells are
-//! enumerated in ascending row-major order, in-cell entries in build
-//! order; the parallel paths fan whole cells across scoped worker threads
-//! and merge by `(cell, slot)` rank, so merged results and every
-//! counter-class metric (`cell accesses`) are bit-identical across thread
-//! counts, including the sequential path.
+//! Determinism: queries are single-threaded; candidate cells are
+//! enumerated in ascending row-major order and in-cell entries in build
+//! order, so results and every counter-class metric (`cell accesses`) are
+//! a pure function of the grid and the query windows. Parallelism lives
+//! one level up, across whole portfolio restarts: a μs-scale probe cannot
+//! repay the cost of fanning out threads.
 //!
 //! Access accounting: one *access* per candidate cell scanned (the grid
-//! analogue of one R*-tree node visit). The candidate cell set is a pure
-//! function of the query windows, so the count is thread-invariant by
-//! construction.
+//! analogue of one R*-tree node visit).
 
 use crate::multiwindow::BestLeaf;
 use mwsj_geom::{Predicate, Rect};
 use mwsj_obs::MemoryFootprint;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Default target number of (replicated) entries per occupied cell; the
 /// grid resolution is chosen as `ceil(sqrt(n / target))` cells per axis.
@@ -99,7 +95,7 @@ impl<T: Copy> UniformGrid<T> {
     }
 
     /// Builds a grid sized for roughly `target` entries per cell.
-    pub fn with_target_occupancy(items: &[(Rect, T)], target: f64) -> Self {
+    fn with_target_occupancy(items: &[(Rect, T)], target: f64) -> Self {
         let bbox = if items.is_empty() {
             Rect::new(0.0, 0.0, 1.0, 1.0)
         } else {
@@ -381,27 +377,35 @@ impl<T> UniformGrid<T> {
             .filter_map(|(p, w)| self.candidate_range(*p, w))
             .collect()
     }
-}
 
-/// Charges `cells` accesses to the shared counter and to the leaf row of
-/// the per-level attribution slice (the grid is a flat, one-level
-/// structure: every access is a "leaf" access).
-#[inline]
-fn charge(cells: u64, cell_accesses: &mut u64, level_accesses: &mut [u64]) {
-    *cell_accesses += cells;
-    if let Some(slot) = level_accesses.get_mut(0) {
-        *slot += cells;
+    /// Visits every entry of the candidate cells of `ranges` exactly once
+    /// (reference-point rule), in canonical `(cell, slot)` order, and
+    /// charges one access per candidate cell to `cell_accesses` and to
+    /// the leaf row of `level_accesses` (the grid is a flat, one-level
+    /// structure: every access is a "leaf" access).
+    fn scan(
+        &self,
+        ranges: &[CellRange],
+        cell_accesses: &mut u64,
+        level_accesses: &mut [u64],
+        mut visit: impl FnMut(T, &Rect),
+    ) where
+        T: Copy,
+    {
+        let cells = self.union_cells(ranges);
+        *cell_accesses += cells.len() as u64;
+        if let Some(slot) = level_accesses.get_mut(0) {
+            *slot += cells.len() as u64;
+        }
+        for c in cells {
+            for slot in self.cell_slots(c) {
+                let r = self.rect_at(slot);
+                if self.dedup_cell(&r, ranges) == Some(c) {
+                    visit(self.values[slot], &r);
+                }
+            }
+        }
     }
-}
-
-/// Best-scoring entry of one cell: `(score, slot, value, satisfied)` with
-/// `slot` the global SoA index (in-cell order ⊂ ascending slot order).
-struct CellBest<T> {
-    score: f64,
-    cell_pos: usize,
-    slot: usize,
-    value: T,
-    satisfied: u32,
 }
 
 /// Multi-window best-entry query over the grid — the grid analogue of the
@@ -413,165 +417,52 @@ struct CellBest<T> {
 /// scored by `score(&value, satisfied_count)` and offered with a strict
 /// `>` comparison, ties keeping the earliest `(cell, slot)` — the grid's
 /// canonical order. Entries satisfying zero windows are skipped.
-///
-/// `threads > 1` fans whole cells across scoped worker threads; the merge
-/// picks the maximum score with the smallest `(cell, slot)` rank on ties,
-/// reproducing the sequential result bit-for-bit. `cell_accesses` (and
-/// `level_accesses[0]`, when present) are bumped once per candidate cell —
-/// an exact, thread-invariant count.
-pub fn find_best_in_windows<T: Copy + Send + Sync>(
+/// `cell_accesses` (and `level_accesses[0]`, when present) are bumped once
+/// per candidate cell.
+pub fn find_best_in_windows<T: Copy>(
     grid: &UniformGrid<T>,
     windows: &[(Predicate, Rect)],
-    score: impl Fn(&T, u32) -> f64 + Sync,
-    threads: usize,
+    mut score: impl FnMut(&T, u32) -> f64,
     cell_accesses: &mut u64,
     level_accesses: &mut [u64],
 ) -> Option<BestLeaf<T>> {
+    let mut best: Option<BestLeaf<T>> = None;
     let ranges = grid.ranges_for(windows);
-    if ranges.is_empty() {
-        return None;
-    }
-    let cells = grid.union_cells(&ranges);
-    charge(cells.len() as u64, cell_accesses, level_accesses);
-
-    let scan_cell = |pos: usize, best: &mut Option<CellBest<T>>| {
-        let c = cells[pos];
-        for slot in grid.cell_slots(c) {
-            let r = grid.rect_at(slot);
-            if grid.dedup_cell(&r, &ranges) != Some(c) {
-                continue;
-            }
-            let satisfied = windows.iter().filter(|(p, w)| p.eval(&r, w)).count() as u32;
-            if satisfied == 0 {
-                continue;
-            }
-            let value = grid.values[slot];
-            let s = score(&value, satisfied);
-            let better = match best {
-                None => true,
-                Some(b) => s > b.score,
-            };
-            if better {
-                *best = Some(CellBest {
-                    score: s,
-                    cell_pos: pos,
-                    slot,
-                    value,
-                    satisfied,
-                });
-            }
+    grid.scan(&ranges, cell_accesses, level_accesses, |value, r| {
+        let satisfied = windows.iter().filter(|(p, w)| p.eval(r, w)).count() as u32;
+        if satisfied == 0 {
+            return;
         }
-    };
-
-    let winner = if threads <= 1 || cells.len() < 2 {
-        let mut best: Option<CellBest<T>> = None;
-        for pos in 0..cells.len() {
-            scan_cell(pos, &mut best);
+        let s = score(&value, satisfied);
+        if best.is_none_or(|b| s > b.score) {
+            best = Some(BestLeaf {
+                value,
+                satisfied,
+                score: s,
+            });
         }
-        best
-    } else {
-        let workers = threads.min(cells.len());
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<CellBest<T>>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut best: Option<CellBest<T>> = None;
-                    loop {
-                        let pos = next.fetch_add(1, Ordering::Relaxed);
-                        if pos >= cells.len() {
-                            break;
-                        }
-                        scan_cell(pos, &mut best);
-                    }
-                    if let Some(b) = best {
-                        collected.lock().unwrap().push(b);
-                    }
-                });
-            }
-        });
-        // Deterministic merge: max score, ties to the smallest (cell, slot)
-        // rank — exactly the sequential first-wins order.
-        collected.into_inner().unwrap().into_iter().reduce(|a, b| {
-            if b.score > a.score
-                || (b.score == a.score && (b.cell_pos, b.slot) < (a.cell_pos, a.slot))
-            {
-                b
-            } else {
-                a
-            }
-        })
-    };
-    winner.map(|b| BestLeaf {
-        value: b.value,
-        satisfied: b.satisfied,
-        score: b.score,
-    })
+    });
+    best
 }
 
 /// Single-predicate window query: all values whose rectangle satisfies
 /// `pred` against `window`, each reported exactly once, in the grid's
-/// canonical `(cell, slot)` order.
-///
-/// `threads > 1` fans cells across scoped workers; per-cell result chunks
-/// are merged in cell order, so the output is bit-identical at any thread
-/// count. One access is charged per candidate cell.
-pub fn query_predicate<T: Copy + Send + Sync>(
+/// canonical `(cell, slot)` order. One access is charged per candidate
+/// cell.
+pub fn query_predicate<T: Copy>(
     grid: &UniformGrid<T>,
     pred: Predicate,
     window: &Rect,
-    threads: usize,
     cell_accesses: &mut u64,
 ) -> Vec<T> {
-    let ranges = match grid.candidate_range(pred, window) {
-        Some(r) => vec![r],
-        None => return Vec::new(),
-    };
-    let cells = grid.union_cells(&ranges);
-    charge(cells.len() as u64, cell_accesses, &mut []);
-
-    let scan_cell = |pos: usize, out: &mut Vec<T>| {
-        let c = cells[pos];
-        for slot in grid.cell_slots(c) {
-            let r = grid.rect_at(slot);
-            if grid.dedup_cell(&r, &ranges) != Some(c) {
-                continue;
-            }
-            if pred.eval(&r, window) {
-                out.push(grid.values[slot]);
-            }
+    let mut out = Vec::new();
+    let range = grid.candidate_range(pred, window);
+    grid.scan(range.as_slice(), cell_accesses, &mut [], |value, r| {
+        if pred.eval(r, window) {
+            out.push(value);
         }
-    };
-
-    if threads <= 1 || cells.len() < 2 {
-        let mut out = Vec::new();
-        for pos in 0..cells.len() {
-            scan_cell(pos, &mut out);
-        }
-        out
-    } else {
-        let workers = threads.min(cells.len());
-        let next = AtomicUsize::new(0);
-        let chunks: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let pos = next.fetch_add(1, Ordering::Relaxed);
-                    if pos >= cells.len() {
-                        break;
-                    }
-                    let mut out = Vec::new();
-                    scan_cell(pos, &mut out);
-                    if !out.is_empty() {
-                        chunks.lock().unwrap().push((pos, out));
-                    }
-                });
-            }
-        });
-        let mut chunks = chunks.into_inner().unwrap();
-        chunks.sort_unstable_by_key(|(pos, _)| *pos);
-        chunks.into_iter().flat_map(|(_, v)| v).collect()
-    }
+    });
+    out
 }
 
 /// Multi-window candidate enumeration — the grid analogue of the
@@ -591,25 +482,14 @@ pub fn candidates_with_counts<T: Copy>(
     level_accesses: &mut [u64],
 ) -> Vec<(T, u32)> {
     debug_assert!(min_count >= 1);
-    let ranges = grid.ranges_for(windows);
-    if ranges.is_empty() {
-        return Vec::new();
-    }
-    let cells = grid.union_cells(&ranges);
-    charge(cells.len() as u64, cell_accesses, level_accesses);
     let mut out = Vec::new();
-    for &c in &cells {
-        for slot in grid.cell_slots(c) {
-            let r = grid.rect_at(slot);
-            if grid.dedup_cell(&r, &ranges) != Some(c) {
-                continue;
-            }
-            let count = windows.iter().filter(|(p, w)| p.eval(&r, w)).count() as u32;
-            if count >= min_count {
-                out.push((grid.values[slot], count));
-            }
+    let ranges = grid.ranges_for(windows);
+    grid.scan(&ranges, cell_accesses, level_accesses, |value, r| {
+        let count = windows.iter().filter(|(p, w)| p.eval(r, w)).count() as u32;
+        if count >= min_count {
+            out.push((value, count));
         }
-    }
+    });
     out
 }
 
@@ -677,7 +557,7 @@ mod tests {
         for pred in ALL_PREDS {
             for w in &windows {
                 let mut acc = 0;
-                let mut got = query_predicate(&grid, pred, w, 1, &mut acc);
+                let mut got = query_predicate(&grid, pred, w, &mut acc);
                 got.sort_unstable();
                 let mut expected: Vec<u32> = items
                     .iter()
@@ -700,7 +580,7 @@ mod tests {
         items.push((Rect::new(0.1, 0.1, 0.9, 0.9), 302));
         let grid = UniformGrid::with_target_occupancy(&items, 4.0);
         let w = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let got = query_predicate(&grid, Predicate::Intersects, &w, 1, &mut 0);
+        let got = query_predicate(&grid, Predicate::Intersects, &w, &mut 0);
         let mut sorted = got.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -720,7 +600,7 @@ mod tests {
                 Rect::new(0.7, 0.7, 0.8, 0.8),
             ),
         ];
-        let best = find_best_in_windows(&grid, &windows, |_, c| c as f64, 1, &mut 0, &mut [])
+        let best = find_best_in_windows(&grid, &windows, |_, c| c as f64, &mut 0, &mut [])
             .expect("some entry satisfies a window");
         let brute = items
             .iter()
@@ -732,45 +612,6 @@ mod tests {
             .unwrap();
         assert_eq!(best.satisfied, brute.0);
         assert_eq!(best.score, brute.0 as f64);
-    }
-
-    #[test]
-    fn find_best_is_thread_invariant() {
-        let items = random_items(14, 2_000, 0.1);
-        let grid = UniformGrid::build(&items);
-        let windows = vec![
-            (Predicate::Intersects, Rect::new(0.2, 0.2, 0.7, 0.7)),
-            (Predicate::Inside, Rect::new(0.0, 0.0, 0.9, 0.9)),
-        ];
-        // A payload-dependent score forces tie-breaks to matter.
-        let score = |v: &u32, c: u32| c as f64 + (*v % 7) as f64 * 1e-9;
-        let mut acc1 = 0;
-        let seq = find_best_in_windows(&grid, &windows, score, 1, &mut acc1, &mut []);
-        for threads in [2, 4, 8] {
-            let mut acc = 0;
-            let par = find_best_in_windows(&grid, &windows, score, threads, &mut acc, &mut []);
-            assert_eq!(
-                seq.as_ref().map(|b| (b.value, b.satisfied, b.score)),
-                par.as_ref().map(|b| (b.value, b.satisfied, b.score)),
-                "threads {threads}"
-            );
-            assert_eq!(acc, acc1, "accesses must be thread-invariant");
-        }
-    }
-
-    #[test]
-    fn parallel_query_equals_sequential() {
-        let items = random_items(15, 1_500, 0.2);
-        let grid = UniformGrid::build(&items);
-        let w = Rect::new(0.1, 0.1, 0.8, 0.8);
-        let mut acc1 = 0;
-        let seq = query_predicate(&grid, Predicate::Intersects, &w, 1, &mut acc1);
-        for threads in [2, 4] {
-            let mut acc = 0;
-            let par = query_predicate(&grid, Predicate::Intersects, &w, threads, &mut acc);
-            assert_eq!(seq, par, "threads {threads}");
-            assert_eq!(acc, acc1);
-        }
     }
 
     #[test]
@@ -862,7 +703,6 @@ mod tests {
             &grid,
             Predicate::Intersects,
             &Rect::new(0.0, 0.0, 1.0, 1.0),
-            1,
             &mut 0,
         );
         assert_eq!(got.len(), 10);
@@ -874,7 +714,6 @@ mod tests {
             &grid,
             Predicate::Intersects,
             &Rect::new(0.0, 0.0, 1.0, 1.0),
-            1,
             &mut 0
         )
         .is_empty());

@@ -1,23 +1,17 @@
-//! An arena-based R*-tree.
+//! A read-only, STR-packed R-tree and a uniform-grid alternative.
 //!
-//! This crate implements the index substrate of the EDBT 2002 paper: the
-//! R*-tree of Beckmann, Kriegel, Schneider and Seeger (SIGMOD 1990), the
-//! structure the paper assumes over every input dataset ("for the rest of
-//! the paper we consider that all datasets are indexed by R*-trees on
-//! minimum bounding rectangles").
+//! This crate implements the index substrate of the EDBT 2002 paper, which
+//! assumes every input dataset is indexed by an R*-tree on minimum bounding
+//! rectangles ("for the rest of the paper we consider that all datasets
+//! are indexed by R*-trees"). The paper's algorithms only *read* those
+//! trees, so this crate builds each one once and never changes it:
 //!
-//! Features:
-//!
-//! * **Dynamic insertion** with R* subtree choice (minimum overlap
-//!   enlargement at the leaf level), topological split and forced
-//!   reinsertion (30 % of the node on first overflow per level).
-//! * **Deletion** with tree condensation and orphan re-insertion.
-//! * **STR bulk loading** (Sort-Tile-Recursive) for building an index over a
-//!   static dataset in one pass — used by the experiment harness, which
-//!   builds trees over 10⁴–10⁵ objects per query variable.
-//! * **Queries**: window (rectangle intersection), generic
-//!   [`Predicate`](mwsj_geom::Predicate)-based candidate enumeration,
-//!   point queries and best-first k-nearest-neighbour search.
+//! * **STR bulk loading** (Sort-Tile-Recursive) packs a static dataset
+//!   into a full tree in one pass — the only way a tree is built. The
+//!   BKSS90 dynamic update algorithms are not implemented: no query path
+//!   needs them.
+//! * **Queries**: window (rectangle intersection) and generic
+//!   [`Predicate`](mwsj_geom::Predicate)-based candidate enumeration.
 //! * A **read-only traversal API** ([`NodeRef`]/[`EntryRef`]) that the join
 //!   algorithms in `mwsj-core` use to drive custom branch-and-bound
 //!   traversals (the paper's *find best value*, synchronous traversal and
@@ -26,10 +20,14 @@
 //!   the best-first, prune-by-potential traversal of the paper's *find
 //!   best value* (Fig. 5) with a caller-supplied leaf scorer, shared by
 //!   the raw (ILS/SEA/IBB) and λ-penalised (GILS) search paths.
-//! * A shared **access-accounting hook** ([`AccessCounter`]): every
-//!   traversal path — insertion, window/point/predicate queries, k-NN,
-//!   bulk load and the visit API — has a `*_counted` variant that records
-//!   one access per node touched into a caller-supplied counter.
+//! * A frozen **flat leaf copy** ([`FlatLeaves`]) the kernel scans as
+//!   contiguous coordinate arrays.
+//! * A PBSM-style **uniform grid** ([`UniformGrid`]) answering the same
+//!   queries, single-threaded like every other query path here.
+//! * A shared **access-accounting hook** ([`AccessCounter`]): the window
+//!   and predicate queries and the visit API have `*_counted` variants
+//!   that record one access per node touched into a caller-supplied
+//!   counter.
 //! * An **invariant checker** ([`RTree::check_invariants`]) used by the test
 //!   suite and property tests.
 //!
@@ -41,18 +39,13 @@
 
 pub mod access;
 mod bulk;
-mod bulk_hilbert;
-mod delete;
 mod flat;
 mod footprint;
 pub mod grid;
-mod insert;
-mod knn;
 pub mod multiwindow;
 mod node;
 mod params;
 mod query;
-mod split;
 mod stats;
 mod tree;
 mod validate;
@@ -61,7 +54,6 @@ mod visit;
 pub use access::AccessCounter;
 pub use flat::FlatLeaves;
 pub use grid::{GridStats, UniformGrid};
-pub use knn::Neighbor;
 pub use multiwindow::{
     find_best_leaf, find_best_leaf_flat, find_best_leaf_flat_leveled, find_best_leaf_leveled,
     BestLeaf,

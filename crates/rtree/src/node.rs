@@ -7,6 +7,9 @@ use mwsj_geom::Rect;
 pub(crate) struct NodeId(pub u32);
 
 impl NodeId {
+    /// Slot of the root node: STR packing writes the root there last.
+    pub(crate) const ROOT: NodeId = NodeId(0);
+
     #[inline]
     pub(crate) fn index(self) -> usize {
         self.0 as usize
@@ -62,14 +65,6 @@ pub(crate) struct Node<T> {
 }
 
 impl<T> Node<T> {
-    pub(crate) fn new(level: u32, capacity: usize) -> Self {
-        Node {
-            level,
-            // +1: nodes transiently hold M+1 entries before overflow handling.
-            entries: Vec::with_capacity(capacity + 1),
-        }
-    }
-
     #[inline]
     pub(crate) fn is_leaf(&self) -> bool {
         self.level == 0

@@ -1,6 +1,6 @@
-//! Window, point and predicate-based queries.
+//! Window and predicate-based queries.
 //!
-//! All three query kinds run through one [`QueryIter`], which is also the
+//! Both query kinds run through one [`QueryIter`], which is also the
 //! single place node accesses are counted: pass an
 //! [`AccessCounter`](crate::AccessCounter) via the `*_counted` variants
 //! and every visited node increments it exactly once (the root at query
@@ -9,7 +9,7 @@
 use crate::access::AccessCounter;
 use crate::node::{NodeId, Payload};
 use crate::tree::RTree;
-use mwsj_geom::{Point, Predicate, Rect};
+use mwsj_geom::{Predicate, Rect};
 
 /// Depth-first query iterator shared by all filter queries.
 ///
@@ -47,7 +47,7 @@ where
         }
         QueryIter {
             tree,
-            stack: vec![(tree.root, 0)],
+            stack: vec![(NodeId::ROOT, 0)],
             node_filter,
             leaf_filter,
             counter,
@@ -116,33 +116,6 @@ impl<T> RTree<T> {
         )
     }
 
-    /// All entries whose MBR contains `point`.
-    pub fn point_query<'a>(
-        &'a self,
-        point: &'a Point,
-    ) -> impl Iterator<Item = (&'a Rect, &'a T)> + 'a {
-        QueryIter::new(
-            self,
-            move |node_mbr: &Rect| node_mbr.contains_point(point),
-            move |mbr: &Rect| mbr.contains_point(point),
-            None,
-        )
-    }
-
-    /// [`RTree::point_query`] with node accesses recorded into `counter`.
-    pub fn point_query_counted<'a>(
-        &'a self,
-        point: &'a Point,
-        counter: &'a AccessCounter,
-    ) -> impl Iterator<Item = (&'a Rect, &'a T)> + 'a {
-        QueryIter::new(
-            self,
-            move |node_mbr: &Rect| node_mbr.contains_point(point),
-            move |mbr: &Rect| mbr.contains_point(point),
-            Some(counter),
-        )
-    }
-
     /// All entries `r` satisfying `r P window` for an arbitrary
     /// [`Predicate`], pruning subtrees with the predicate's node-level
     /// possibility test.
@@ -178,22 +151,12 @@ impl<T> RTree<T> {
             Some(counter),
         )
     }
-
-    /// Counts entries intersecting `window` without materialising them.
-    pub fn count_window(&self, window: &Rect) -> usize {
-        self.window(window).count()
-    }
-
-    /// [`RTree::count_window`] with node accesses recorded into `counter`.
-    pub fn count_window_counted(&self, window: &Rect, counter: &AccessCounter) -> usize {
-        self.window_counted(window, counter).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{RTree, RTreeParams};
-    use mwsj_geom::{Point, Predicate, Rect};
+    use mwsj_geom::{Predicate, Rect};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -239,21 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn point_query_matches_scan() {
-        let (tree, rects) = random_tree(1_000, 12);
-        let p = Point::new(0.5, 0.5);
-        let mut got: Vec<usize> = tree.point_query(&p).map(|(_, v)| *v).collect();
-        got.sort_unstable();
-        let expected: Vec<usize> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.contains_point(&p))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn predicate_query_matches_scan_for_all_predicates() {
         let (tree, rects) = random_tree(1_500, 13);
         let window = Rect::new(0.4, 0.4, 0.6, 0.6);
@@ -280,9 +228,8 @@ mod tests {
 
     #[test]
     fn empty_tree_returns_nothing() {
-        let tree: RTree<usize> = RTree::new();
+        let tree: RTree<usize> = RTree::bulk_load(Vec::new());
         assert_eq!(tree.window(&Rect::new(0.0, 0.0, 1.0, 1.0)).count(), 0);
-        assert_eq!(tree.point_query(&Point::new(0.0, 0.0)).count(), 0);
     }
 
     #[test]
@@ -293,13 +240,6 @@ mod tests {
         let w = Rect::new(0.0, 0.0, 1.0, 1.0);
         let first = tree.window(&w).next();
         assert!(first.is_some());
-    }
-
-    #[test]
-    fn count_window_equals_iterator_count() {
-        let (tree, _) = random_tree(800, 15);
-        let w = Rect::new(0.2, 0.2, 0.7, 0.7);
-        assert_eq!(tree.count_window(&w), tree.window(&w).count());
     }
 
     #[test]
@@ -323,20 +263,11 @@ mod tests {
         let accesses = counter.take();
         assert!(accesses >= 1 && accesses <= tree.node_count() as u64);
 
-        // Predicate and point variants also count.
+        // The predicate variant also counts.
         let _ = tree
             .query_predicate_counted(Predicate::Intersects, &w, &counter)
             .count();
         assert!(counter.take() >= 1);
-        let _ = tree
-            .point_query_counted(&Point::new(0.5, 0.5), &counter)
-            .count();
-        assert!(counter.take() >= 1);
-        assert_eq!(
-            tree.count_window_counted(&w, &counter),
-            tree.count_window(&w)
-        );
-        assert!(counter.get() >= 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Structural statistics, useful for diagnosing index quality in the
 //! experiment harness (node occupancy, per-level area/overlap).
 
-use crate::node::Payload;
+use crate::node::{NodeId, Payload};
 use crate::tree::RTree;
 
-/// Summary statistics of an R*-tree's structure.
+/// Summary statistics of an R-tree's structure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeStats {
     /// Number of data entries.
@@ -64,7 +64,7 @@ impl<T> RTree<T> {
         let mut dead_area_per_level = vec![0.0f64; height];
         let mut perimeter_per_level = vec![0.0f64; height];
 
-        let mut stack = vec![self.root];
+        let mut stack = vec![NodeId::ROOT];
         while let Some(id) = stack.pop() {
             let node = self.node(id);
             nodes += 1;
@@ -187,51 +187,46 @@ mod tests {
         );
     }
 
-    /// The quality metrics must be finite and sane for both bulk loaders
-    /// at paper scale, and the structural invariants must be unaffected by
-    /// the new per-level columns.
+    /// The quality metrics must be finite and sane for STR packing at
+    /// paper scale and every capacity, and the structural invariants must
+    /// be unaffected by the per-level columns.
     #[test]
-    fn str_and_hilbert_quality_metrics_are_sane_at_100k() {
+    fn str_quality_metrics_are_sane_at_100k() {
         let items = random_items(100_000, 35);
-        let loaded = [
-            (
-                "str",
-                RTree::bulk_load_with_params(RTreeParams::new(16), items.clone()),
-            ),
-            (
-                "hilbert",
-                RTree::bulk_load_hilbert_with_params(RTreeParams::new(16), items),
-            ),
-        ];
-        for (name, tree) in &loaded {
+        for m in [4, 8, 16, 32] {
+            let tree = RTree::bulk_load_with_params(RTreeParams::new(m), items.clone());
             let s = tree.stats();
             let h = tree.height() as usize;
-            assert_eq!(s.len, 100_000, "{name}");
-            assert_eq!(s.fill_per_level.len(), h, "{name}");
-            assert_eq!(s.overlap_factor_per_level.len(), h, "{name}");
-            assert_eq!(s.dead_space_per_level.len(), h, "{name}");
-            assert_eq!(s.perimeter_per_level.len(), h, "{name}");
+            assert_eq!(s.len, 100_000, "M = {m}");
+            assert_eq!(s.fill_per_level.len(), h, "M = {m}");
+            assert_eq!(s.overlap_factor_per_level.len(), h, "M = {m}");
+            assert_eq!(s.dead_space_per_level.len(), h, "M = {m}");
+            assert_eq!(s.perimeter_per_level.len(), h, "M = {m}");
             for lvl in 0..h {
                 let fill = s.fill_per_level[lvl];
                 assert!(
                     fill.is_finite() && fill > 0.0 && fill <= 1.0,
-                    "{name} level {lvl} fill {fill}"
+                    "M = {m} level {lvl} fill {fill}"
                 );
                 let ov = s.overlap_factor_per_level[lvl];
                 assert!(
                     ov.is_finite() && ov >= 0.0,
-                    "{name} level {lvl} overlap {ov}"
+                    "M = {m} level {lvl} overlap {ov}"
                 );
                 let dead = s.dead_space_per_level[lvl];
                 assert!(
                     dead.is_finite() && (0.0..=1.0).contains(&dead),
-                    "{name} level {lvl} dead space {dead}"
+                    "M = {m} level {lvl} dead space {dead}"
                 );
                 let per = s.perimeter_per_level[lvl];
                 assert!(
                     per.is_finite() && per > 0.0,
-                    "{name} level {lvl} perimeter {per}"
+                    "M = {m} level {lvl} perimeter {per}"
                 );
+                // Loose packing bound: at this density data rects overlap
+                // heavily by construction, but a packed tree must not
+                // degenerate into near-total sibling overlap.
+                assert!(ov < 50.0, "M = {m} level {lvl} overlap factor {ov}");
             }
             // The whole-tree fill is the node-weighted mean of the
             // per-level fills.
@@ -239,51 +234,27 @@ mod tests {
                 .map(|l| s.fill_per_level[l] * s.nodes_per_level[l] as f64)
                 .sum::<f64>()
                 / s.nodes as f64;
-            assert!((weighted - s.avg_fill).abs() < 1e-9, "{name}");
-            // Invariants unchanged by the new columns.
-            assert_eq!(s.nodes_per_level.iter().sum::<usize>(), s.nodes, "{name}");
-            assert_eq!(s.entries_per_level[0], s.len, "{name}");
-            // Loose packing bound: at this density data rects overlap
-            // heavily by construction, but a bulk-loaded tree must not
-            // degenerate into near-total sibling overlap.
-            for lvl in 0..h {
-                assert!(
-                    s.overlap_factor_per_level[lvl] < 50.0,
-                    "{name} level {lvl} overlap factor {}",
-                    s.overlap_factor_per_level[lvl]
-                );
-            }
+            assert!((weighted - s.avg_fill).abs() < 1e-9, "M = {m}");
+            assert_eq!(s.nodes_per_level.iter().sum::<usize>(), s.nodes, "M = {m}");
+            assert_eq!(s.entries_per_level[0], s.len, "M = {m}");
         }
-        // The two loaders land in the same quality regime on uniform data:
-        // neither should beat the other by an order of magnitude on
-        // sibling overlap at the level above the leaves.
-        let (str_s, hil_s) = (loaded[0].1.stats(), loaded[1].1.stats());
-        let (a, b) = (
-            str_s.overlap_factor_per_level[1],
-            hil_s.overlap_factor_per_level[1],
-        );
-        assert!(
-            a < 10.0 * b && b < 10.0 * a,
-            "STR vs Hilbert overlap factors diverge: {a} vs {b}"
-        );
     }
 
     #[test]
-    fn rstar_insertion_keeps_overlap_moderate() {
-        // Sanity check that the R* heuristics produce a usable index: leaf
-        // level overlap should be a small fraction of leaf level area for
+    fn str_packing_keeps_leaf_overlap_moderate() {
+        // Sanity check that STR tiling produces a usable index: leaf level
+        // overlap should be a small fraction of leaf level area for
         // uniform data.
         let items = random_items(4_000, 33);
-        let mut tree = RTree::with_params(RTreeParams::new(16));
-        for (r, v) in items {
-            tree.insert(r, v);
+        for m in [4, 8, 16, 32] {
+            let tree = RTree::bulk_load_with_params(RTreeParams::new(m), items.clone());
+            let s = tree.stats();
+            let leaf_area: f64 = s.area_per_level[0];
+            let leaf_overlap: f64 = s.overlap_per_level[0];
+            assert!(
+                leaf_overlap < leaf_area * 0.5,
+                "M = {m}: excessive leaf overlap: {leaf_overlap} vs area {leaf_area}"
+            );
         }
-        let s = tree.stats();
-        let leaf_area: f64 = s.area_per_level[0];
-        let leaf_overlap: f64 = s.overlap_per_level[0];
-        assert!(
-            leaf_overlap < leaf_area * 0.5,
-            "excessive leaf overlap: {leaf_overlap} vs area {leaf_area}"
-        );
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::node::{NodeId, Payload};
 use crate::tree::RTree;
-use std::collections::HashSet;
 
 impl<T> RTree<T> {
     /// Verifies every structural invariant of the tree:
@@ -12,18 +11,19 @@ impl<T> RTree<T> {
     /// 2. every internal entry's MBR equals (within fp tolerance) the tight
     ///    union of its child's entries;
     /// 3. occupancy: every node holds at most `M` entries and every
-    ///    non-root node at least `m`; an internal root holds at least 2;
-    /// 4. no node is reachable twice and no reachable node is on the free
-    ///    list;
+    ///    non-root node at least `max(⌊0.4·M⌋, 2)` — the BKSS90 minimum
+    ///    fill, which STR packing meets; an internal root holds at least 2;
+    /// 4. every slab node is reachable from the root exactly once;
     /// 5. the recorded `len` equals the number of reachable data entries.
     ///
     /// Returns a description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut seen: HashSet<u32> = HashSet::new();
-        let free: HashSet<u32> = self.free.iter().map(|id| id.0).collect();
+        let max_entries = self.params.max_entries;
+        let min_entries = ((max_entries as f64 * 0.4) as usize).max(2);
+        let mut seen = vec![false; self.nodes.len()];
         let mut data_count = 0usize;
 
-        let root = self.root;
+        let root = NodeId::ROOT;
         if self.node(root).level + 1 != self.height {
             return Err(format!(
                 "root level {} inconsistent with height {}",
@@ -34,29 +34,24 @@ impl<T> RTree<T> {
 
         let mut stack: Vec<NodeId> = vec![root];
         while let Some(id) = stack.pop() {
-            if !seen.insert(id.0) {
+            if std::mem::replace(&mut seen[id.index()], true) {
                 return Err(format!("node {} reachable twice", id.0));
-            }
-            if free.contains(&id.0) {
-                return Err(format!("node {} is on the free list but reachable", id.0));
             }
             let node = self.node(id);
 
             // Occupancy.
-            if node.entries.len() > self.params.max_entries {
+            if node.entries.len() > max_entries {
                 return Err(format!(
-                    "node {} overflows: {} > M = {}",
+                    "node {} overflows: {} > M = {max_entries}",
                     id.0,
-                    node.entries.len(),
-                    self.params.max_entries
+                    node.entries.len()
                 ));
             }
-            if id != root && node.entries.len() < self.params.min_entries {
+            if id != root && node.entries.len() < min_entries {
                 return Err(format!(
-                    "node {} underflows: {} < m = {}",
+                    "node {} underflows: {} < m = {min_entries}",
                     id.0,
-                    node.entries.len(),
-                    self.params.min_entries
+                    node.entries.len()
                 ));
             }
             if id == root && !node.is_leaf() && node.entries.len() < 2 {
@@ -101,6 +96,13 @@ impl<T> RTree<T> {
             }
         }
 
+        let unreachable = seen.iter().filter(|&&s| !s).count();
+        if unreachable > 0 {
+            return Err(format!(
+                "{unreachable} of {} slab nodes unreachable",
+                self.nodes.len()
+            ));
+        }
         if data_count != self.len {
             return Err(format!(
                 "len mismatch: recorded {}, reachable {}",
@@ -130,67 +132,48 @@ mod proptests {
     use mwsj_geom::Rect;
     use proptest::prelude::*;
 
-    fn arb_rects(max: usize) -> impl Strategy<Value = Vec<Rect>> {
-        prop::collection::vec(
-            (0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.1, 0.0f64..0.1)
-                .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h)),
-            1..max,
-        )
+    fn arb_rect() -> impl Strategy<Value = Rect> {
+        (0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.1, 0.0f64..0.1)
+            .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Inserting any sequence of rectangles keeps all invariants and
+        /// STR packing at any capacity and size keeps every invariant and
         /// makes every rectangle findable by a window query on itself.
+        /// Sizes are exactly `M` (one leaf), `M + 1` (the first split into
+        /// two levels), or anything up to `min(M³ + 1, 600)` (heights 1–4).
         #[test]
-        fn insert_preserves_invariants(rects in arb_rects(300)) {
-            let mut tree = RTree::with_params(RTreeParams::new(4));
-            for (i, r) in rects.iter().enumerate() {
-                tree.insert(*r, i);
+        fn str_packing_preserves_invariants(
+            m in prop_oneof![Just(4usize), Just(8), Just(16), Just(32)],
+            boundary in 0u8..3,
+            pool in prop::collection::vec(arb_rect(), 33..=600),
+        ) {
+            let n = match boundary {
+                0 => m,
+                1 => m + 1,
+                _ => pool.len() % (m * m * m + 2).min(601),
+            };
+            let rects = &pool[..n];
+            let tree = RTree::bulk_load_with_params(
+                RTreeParams::new(m),
+                rects.iter().copied().zip(0usize..).collect(),
+            );
+            prop_assert_eq!(tree.check_invariants(), Ok(()));
+            prop_assert_eq!(tree.len(), rects.len());
+            if rects.len() == m {
+                prop_assert_eq!(tree.height(), 1);
             }
-            prop_assert!(tree.check_invariants().is_ok());
+            if rects.len() == m + 1 {
+                prop_assert_eq!(tree.height(), 2);
+            }
             for (i, r) in rects.iter().enumerate() {
                 prop_assert!(
                     tree.window(r).any(|(_, v)| *v == i),
                     "rect {i} not found by self-window"
                 );
             }
-        }
-
-        /// Bulk loading is equivalent to insertion w.r.t. query results.
-        #[test]
-        fn bulk_load_equivalent_to_inserts(rects in arb_rects(300)) {
-            let bulk = RTree::bulk_load_with_params(
-                RTreeParams::new(4),
-                rects.iter().copied().zip(0usize..).collect(),
-            );
-            prop_assert!(bulk.check_invariants().is_ok());
-            let mut incr = RTree::with_params(RTreeParams::new(4));
-            for (i, r) in rects.iter().enumerate() {
-                incr.insert(*r, i);
-            }
-            let w = Rect::new(0.25, 0.25, 0.75, 0.75);
-            let mut a: Vec<usize> = bulk.window(&w).map(|(_, v)| *v).collect();
-            let mut b: Vec<usize> = incr.window(&w).map(|(_, v)| *v).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
-        }
-
-        /// Insert + delete round-trips to an empty tree with invariants held
-        /// at every step boundary.
-        #[test]
-        fn insert_delete_roundtrip(rects in arb_rects(150)) {
-            let mut tree = RTree::with_params(RTreeParams::new(4));
-            for (i, r) in rects.iter().enumerate() {
-                tree.insert(*r, i);
-            }
-            for (i, r) in rects.iter().enumerate() {
-                prop_assert!(tree.remove(r, &i), "remove {i} failed");
-            }
-            prop_assert!(tree.is_empty());
-            prop_assert!(tree.check_invariants().is_ok());
         }
     }
 }

@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn root_of_empty_tree_is_empty_leaf() {
-        let tree: RTree<usize> = RTree::new();
+        let tree: RTree<usize> = RTree::bulk_load(Vec::new());
         let root = tree.root_node();
         assert!(root.is_leaf());
         assert!(root.is_empty());
