@@ -109,6 +109,9 @@ pub fn run_recorded(scale: Scale, rec: &Recorder) -> Table {
                     &mut rng,
                     rec.obs(),
                 );
+                for stage in outcome.stages() {
+                    rec.absorb(&stage.stats);
+                }
                 let elapsed = start.elapsed();
                 if outcome.best.is_exact() {
                     times.push(elapsed.as_secs_f64());

@@ -8,11 +8,14 @@
 //! disabled recorder and write nothing.
 
 use crate::Algo;
-use mwsj_core::{Instance, JsonlSink, ObsHandle, RunOutcome, SearchBudget, SearchContext};
+use mwsj_core::{
+    metrics_of, run_end_event, Instance, JsonlSink, MetricsSnapshot, ObsHandle, RunOutcome,
+    RunStats, SearchBudget, SearchContext,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Records experiment runs as JSONL run events plus one aggregate
 /// metrics/phases snapshot per experiment.
@@ -20,6 +23,8 @@ use std::sync::Arc;
 pub struct Recorder {
     obs: ObsHandle,
     path: Option<PathBuf>,
+    /// [`metrics_of`] over every run recorded so far.
+    metrics: Mutex<MetricsSnapshot>,
 }
 
 impl Recorder {
@@ -35,6 +40,7 @@ impl Recorder {
             Ok((path, sink)) => Recorder {
                 obs: ObsHandle::enabled().with_sink(Arc::new(sink)),
                 path: Some(path),
+                metrics: Mutex::default(),
             },
             Err(e) => {
                 eprintln!("warning: cannot record {name}: {e}");
@@ -49,6 +55,7 @@ impl Recorder {
         Recorder {
             obs: ObsHandle::disabled(),
             path: None,
+            metrics: Mutex::default(),
         }
     }
 
@@ -71,19 +78,21 @@ impl Recorder {
         });
     }
 
-    /// Emits the matching `run_end` event.
+    /// Emits the matching `run_end` event and counts the run into the
+    /// experiment's `metrics` aggregate.
     pub fn end(&self, outcome: &RunOutcome) {
-        self.obs.emit(mwsj_core::RunEvent::RunEnd {
-            best_violations: outcome.best_violations as u64,
-            best_similarity: outcome.best_similarity,
-            steps: outcome.stats.steps,
-            node_accesses: outcome.stats.node_accesses,
-            local_maxima: outcome.stats.local_maxima,
-            improvements: outcome.stats.improvements,
-            restarts: outcome.stats.restarts,
-            elapsed_secs: outcome.stats.elapsed.as_secs_f64(),
-            proven_optimal: outcome.proven_optimal,
-        });
+        self.absorb(&outcome.stats);
+        self.obs.emit(run_end_event(outcome));
+    }
+
+    /// Counts one finished run into the experiment's `metrics` aggregate
+    /// without emitting anything — for runs whose `run_end` a composite
+    /// (the two-step pipeline) emits itself.
+    pub fn absorb(&self, stats: &RunStats) {
+        self.metrics
+            .lock()
+            .expect("recorder mutex")
+            .merge(&metrics_of([stats]));
     }
 
     /// Runs `algo` with run-start/end events and full instrumentation.
@@ -110,7 +119,7 @@ impl Recorder {
     /// and returns its path (when recording was active).
     pub fn finish(self) -> Option<PathBuf> {
         self.obs.emit(mwsj_core::RunEvent::Metrics {
-            snapshot: self.obs.metrics.snapshot(),
+            snapshot: self.metrics.into_inner().expect("recorder mutex"),
         });
         self.obs.emit(mwsj_core::RunEvent::Phases {
             phases: self.obs.timer.snapshot(),
@@ -128,5 +137,41 @@ mod tests {
         let rec = Recorder::disabled();
         assert!(!rec.obs().is_enabled());
         assert!(rec.finish().is_none());
+    }
+
+    #[test]
+    fn finish_reports_the_metrics_of_every_recorded_run() {
+        use mwsj_core::{metric, RunEvent, VecSink};
+        use mwsj_datagen::{Dataset, QueryShape};
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let datasets: Vec<Dataset> = (0..3)
+            .map(|_| Dataset::uniform(200, 0.01, &mut rng))
+            .collect();
+        let instance = Instance::new(QueryShape::Chain.graph(3), datasets).unwrap();
+        let sink = Arc::new(VecSink::new());
+        let rec = Recorder {
+            obs: ObsHandle::enabled().with_sink(sink.clone()),
+            path: None,
+            metrics: Mutex::default(),
+        };
+        let budget = SearchBudget::iterations(300);
+        let runs = [
+            rec.run(Algo::Ils, &instance, &budget, 1),
+            rec.run(Algo::Gils, &instance, &budget, 2),
+        ];
+        rec.finish();
+
+        let reported = sink.events().into_iter().find_map(|e| match e {
+            RunEvent::Metrics { snapshot } => Some(snapshot),
+            _ => None,
+        });
+        let expected = metrics_of(runs.iter().map(|r| &r.stats));
+        assert_eq!(reported.as_ref(), Some(&expected));
+        assert_eq!(
+            expected.counter(metric::STEPS),
+            Some(runs[0].stats.steps + runs[1].stats.steps)
+        );
+        assert_eq!(expected.histograms[0].1.count, 2, "one sample per run");
     }
 }

@@ -277,7 +277,7 @@ struct SuiteRun {
 
 fn run_once(algo: SuiteAlgo, instance: &Instance, budgets: TierBudgets) -> SuiteRun {
     let mut rng = StdRng::seed_from_u64(RUN_SEED);
-    let obs = ObsHandle::timer_only();
+    let obs = ObsHandle::enabled();
     match algo {
         SuiteAlgo::Ils
         | SuiteAlgo::IlsEntryLayout

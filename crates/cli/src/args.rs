@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::time::Duration;
 
 /// A parsed command line: subcommand, positional arguments,
 /// `--key value` options (repeatable) and `--flag` switches.
@@ -161,13 +162,39 @@ impl Args {
         default: T,
         expected: &'static str,
     ) -> Result<T, ArgError> {
-        match self.value(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                option: key.to_string(),
-                value: v.to_string(),
-                expected,
-            }),
+        Ok(self.parse_opt(key, expected)?.unwrap_or(default))
+    }
+
+    /// Parses an option into `T`; `None` when absent.
+    pub fn parse_opt<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        expected: &'static str,
+    ) -> Result<Option<T>, ArgError> {
+        self.value(key)
+            .map(|v| v.parse().map_err(|_| self.bad_value(key, expected)))
+            .transpose()
+    }
+
+    /// Parses an option given in seconds; `None` when absent. The value
+    /// must be a finite number of seconds above zero that a [`Duration`]
+    /// can hold, so `inf`, `nan`, `0`, `-1` and `1e300` are all rejected.
+    pub fn secs(&self, key: &str) -> Result<Option<Duration>, ArgError> {
+        const EXPECTED: &str = "a positive, finite number of seconds";
+        let Some(secs) = self.parse_opt::<f64>(key, EXPECTED)? else {
+            return Ok(None);
+        };
+        match Duration::try_from_secs_f64(secs) {
+            Ok(d) if !d.is_zero() => Ok(Some(d)),
+            _ => Err(self.bad_value(key, EXPECTED)),
+        }
+    }
+
+    fn bad_value(&self, key: &str, expected: &'static str) -> ArgError {
+        ArgError::BadValue {
+            option: key.to_string(),
+            value: self.value(key).unwrap_or_default().to_string(),
+            expected,
         }
     }
 
@@ -198,6 +225,24 @@ mod tests {
 
     fn parse(s: &str) -> Result<Args, ArgError> {
         Args::parse(s.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn secs_accepts_only_positive_finite_durations() {
+        let secs = |v: &str| {
+            parse(&format!("solve --seconds {v}"))
+                .unwrap()
+                .secs("seconds")
+        };
+        assert_eq!(secs("2.5"), Ok(Some(Duration::from_millis(2500))));
+        assert_eq!(parse("solve").unwrap().secs("seconds"), Ok(None));
+        for bad in ["0", "-1", "nan", "inf", "1e300", "1e-300", "two"] {
+            let err = secs(bad).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("--seconds {bad}:")),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

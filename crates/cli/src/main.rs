@@ -40,14 +40,16 @@ use mwsj_core::obs::{
     DEFAULT_WALL_SLACK_MS, DEFAULT_WALL_TOLERANCE,
 };
 use mwsj_core::{
-    AnytimeSearch, BackendKind, EventSink, FanoutSink, FlightRecorder, FlushPolicy, Gils,
-    GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, JsonlSink, ObsHandle, ParallelPortfolio,
-    Pjm, PortfolioConfig, RunEvent, RunOutcome, Sea, SeaConfig, SearchBudget, SearchContext,
-    SynchronousTraversal, TelemetryConfig, TwoStep, TwoStepConfig, WindowReduction,
+    metrics_of, AnytimeSearch, BackendKind, EventSink, FanoutSink, FlightRecorder, FlushPolicy,
+    Gils, GilsConfig, Ibb, IbbConfig, Ils, IlsConfig, Instance, JsonlSink, MetricsSnapshot,
+    ObsHandle, ParallelPortfolio, Pjm, PortfolioConfig, RunEvent, RunOutcome, Sea, SeaConfig,
+    SearchBudget, SearchContext, SynchronousTraversal, TelemetryConfig, TwoStep, TwoStepConfig,
+    WindowReduction,
 };
 use mwsj_datagen::{Dataset, DatasetSpec, Distribution, QueryShape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -162,22 +164,20 @@ fn load_datasets(args: &Args) -> Result<Vec<Dataset>, String> {
         .collect()
 }
 
-fn budget_from(args: &Args) -> Result<SearchBudget, String> {
-    let seconds: f64 = args
-        .parse_or("seconds", 0.0, "a number of seconds")
+/// The search budget from `--seconds` and `--iterations` (either, both,
+/// or neither for the command's `default`). Zero iterations and any
+/// `--seconds` that is not a positive, finite, representable duration are
+/// rejected.
+fn budget_from(args: &Args, default: SearchBudget) -> Result<SearchBudget, String> {
+    let time = args.secs("seconds").map_err(|e| e.to_string())?;
+    let steps = args
+        .parse_opt::<NonZeroU64>("iterations", "a positive iteration count")
         .map_err(|e| e.to_string())?;
-    let iterations: u64 = args
-        .parse_or("iterations", 0, "an iteration count")
-        .map_err(|e| e.to_string())?;
-    Ok(match (seconds > 0.0, iterations > 0) {
-        (true, true) => SearchBudget::time_and_iterations(
-            std::time::Duration::from_secs_f64(seconds),
-            iterations,
-        ),
-        (false, true) => SearchBudget::iterations(iterations),
-        // Default: 2 seconds.
-        (true, false) => SearchBudget::seconds(seconds),
-        (false, false) => SearchBudget::seconds(2.0),
+    Ok(match (time, steps) {
+        (Some(time), Some(steps)) => SearchBudget::time_and_iterations(time, steps.get()),
+        (None, Some(steps)) => SearchBudget::iterations(steps.get()),
+        (Some(time), None) => SearchBudget::time(time),
+        (None, None) => default,
     })
 }
 
@@ -262,7 +262,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         args,
         Instance::new(graph, datasets).map_err(|e| e.to_string())?,
     )?;
-    let budget = budget_from(args)?;
+    let budget = budget_from(args, SearchBudget::seconds(2.0))?;
     let seed: u64 = args
         .parse_or("seed", 42, "a seed")
         .map_err(|e| e.to_string())?;
@@ -360,7 +360,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         (None, Some(rec)) => ObsHandle::enabled().with_sink(rec.clone()),
         // No event sink requested, but the profile still needs live phase
         // timers; a fully disabled handle records nothing.
-        (None, None) if profile_path.is_some() => ObsHandle::timer_only(),
+        (None, None) if profile_path.is_some() => ObsHandle::enabled(),
         (None, None) => ObsHandle::disabled(),
     };
     obs.emit(RunEvent::RunStart {
@@ -377,97 +377,84 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         .with_obs(obs.clone())
         .with_telemetry(telemetry);
 
-    // Portfolio runs merge per-restart phase timers themselves; keep the
-    // merged snapshot around for `--profile-out`.
-    let mut portfolio_phases: Vec<PhaseSnapshot> = Vec::new();
-    let outcome: RunOutcome = match algo {
-        "ils" if portfolio => {
-            let (merged, phases) = run_portfolio(
-                Ils::new(IlsConfig::default()),
-                &instance,
-                &budget,
-                seed,
-                restarts,
-                threads,
-                telemetry,
-                &obs,
-            );
-            portfolio_phases = phases;
-            merged
+    // Each arm yields the reported outcome, the `metrics` snapshot of the
+    // runs it consists of and, for portfolios (which merge per-restart
+    // phase timers themselves), its phase profile.
+    let single = |outcome: RunOutcome| {
+        let metrics = metrics_of([&outcome.stats]);
+        (outcome, metrics, None)
+    };
+    let (outcome, metrics, portfolio_phases) = match algo {
+        "ils" if portfolio => run_portfolio(
+            Ils::new(IlsConfig::default()),
+            &instance,
+            &budget,
+            seed,
+            restarts,
+            threads,
+            telemetry,
+            &obs,
+        ),
+        "gils" if portfolio => run_portfolio(
+            Gils::new(GilsConfig::default()),
+            &instance,
+            &budget,
+            seed,
+            restarts,
+            threads,
+            telemetry,
+            &obs,
+        ),
+        "sea" if portfolio => run_portfolio(
+            Sea::new(SeaConfig::default_for(&instance)),
+            &instance,
+            &budget,
+            seed,
+            restarts,
+            threads,
+            telemetry,
+            &obs,
+        ),
+        "sea-hybrid" if portfolio => run_portfolio(
+            Sea::new(SeaConfig::default_for(&instance).with_ils_seeding()),
+            &instance,
+            &budget,
+            seed,
+            restarts,
+            threads,
+            telemetry,
+            &obs,
+        ),
+        "ils" => single(Ils::new(IlsConfig::default()).search(&instance, &ctx, &mut rng)),
+        "gils" => single(Gils::new(GilsConfig::default()).search(&instance, &ctx, &mut rng)),
+        "sea" => {
+            single(Sea::new(SeaConfig::default_for(&instance)).search(&instance, &ctx, &mut rng))
         }
-        "gils" if portfolio => {
-            let (merged, phases) = run_portfolio(
-                Gils::new(GilsConfig::default()),
-                &instance,
-                &budget,
-                seed,
-                restarts,
-                threads,
-                telemetry,
-                &obs,
-            );
-            portfolio_phases = phases;
-            merged
-        }
-        "sea" if portfolio => {
-            let (merged, phases) = run_portfolio(
-                Sea::new(SeaConfig::default_for(&instance)),
-                &instance,
-                &budget,
-                seed,
-                restarts,
-                threads,
-                telemetry,
-                &obs,
-            );
-            portfolio_phases = phases;
-            merged
-        }
-        "sea-hybrid" if portfolio => {
-            let (merged, phases) = run_portfolio(
-                Sea::new(SeaConfig::default_for(&instance).with_ils_seeding()),
-                &instance,
-                &budget,
-                seed,
-                restarts,
-                threads,
-                telemetry,
-                &obs,
-            );
-            portfolio_phases = phases;
-            merged
-        }
-        "ils" => Ils::new(IlsConfig::default()).search(&instance, &ctx, &mut rng),
-        "gils" => Gils::new(GilsConfig::default()).search(&instance, &ctx, &mut rng),
-        "sea" => Sea::new(SeaConfig::default_for(&instance)).search(&instance, &ctx, &mut rng),
-        "sea-hybrid" => Sea::new(SeaConfig::default_for(&instance).with_ils_seeding())
-            .search(&instance, &ctx, &mut rng),
+        "sea-hybrid" => single(
+            Sea::new(SeaConfig::default_for(&instance).with_ils_seeding())
+                .search(&instance, &ctx, &mut rng),
+        ),
         "ibb" | "two-step" if portfolio => {
             return Err(format!(
                 "--restarts applies to the anytime heuristics, not '{algo}'"
             ))
         }
-        "ibb" => Ibb::new(IbbConfig::new()).search(&instance, &ctx),
+        "ibb" => single(Ibb::new(IbbConfig::new()).search(&instance, &ctx)),
         "two-step" => {
             let heuristic_budget = SearchBudget::seconds(0.5);
             let two = TwoStep::new(TwoStepConfig::Ils(IlsConfig::default(), heuristic_budget))
                 .with_telemetry(telemetry);
             let out = two.run_with_obs(&instance, &budget, &mut rng, &obs);
-            out.best
+            let metrics = metrics_of(out.stages().map(|stage| &stage.stats));
+            (out.best, metrics, None)
         }
         other => return Err(format!("unknown algorithm '{other}'")),
     };
-
-    if !portfolio {
-        // Portfolio runs emit their seed-order merged snapshots inside
-        // `run_portfolio`; single runs freeze the handle's own registry.
-        obs.emit(RunEvent::Metrics {
-            snapshot: obs.metrics.snapshot(),
-        });
-        obs.emit(RunEvent::Phases {
-            phases: obs.timer.snapshot(),
-        });
-    }
+    let phases = portfolio_phases.unwrap_or_else(|| obs.timer.snapshot());
+    obs.emit(RunEvent::Metrics { snapshot: metrics });
+    obs.emit(RunEvent::Phases {
+        phases: phases.clone(),
+    });
     // `run_end` is emitted by the search itself: standalone algorithms via
     // the driver, the two-step pipeline and the portfolio as one combined
     // event each.
@@ -525,11 +512,6 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(path) = &profile_path {
-        let phases = if portfolio {
-            portfolio_phases
-        } else {
-            obs.timer.snapshot()
-        };
         let folded = to_folded(&phases);
         std::fs::write(path, &folded).map_err(|e| format!("{path}: {e}"))?;
         println!(
@@ -540,6 +522,8 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs a portfolio and returns its merged outcome, the `metrics` of its
+/// restarts folded in seed order, and its merged phase profile.
 #[allow(clippy::too_many_arguments)] // thin CLI plumbing over PortfolioConfig
 fn run_portfolio<A: AnytimeSearch>(
     algo: A,
@@ -550,17 +534,11 @@ fn run_portfolio<A: AnytimeSearch>(
     threads: usize,
     telemetry: TelemetryConfig,
     obs: &ObsHandle,
-) -> (RunOutcome, Vec<PhaseSnapshot>) {
+) -> (RunOutcome, MetricsSnapshot, Option<Vec<PhaseSnapshot>>) {
     let mut config = PortfolioConfig::new(restarts, threads);
     config.telemetry = telemetry;
     let portfolio = ParallelPortfolio::new(algo, config);
     let outcome = portfolio.run_with_obs(instance, budget, master_seed, obs);
-    obs.emit(RunEvent::Metrics {
-        snapshot: outcome.metrics.clone(),
-    });
-    obs.emit(RunEvent::Phases {
-        phases: outcome.phases.clone(),
-    });
     println!(
         "portfolio: {} restarts on {} thread{} (per-restart best: {})",
         outcome.restarts.len(),
@@ -573,7 +551,8 @@ fn run_portfolio<A: AnytimeSearch>(
             .collect::<Vec<_>>()
             .join(", ")
     );
-    (outcome.merged, outcome.phases)
+    let metrics = metrics_of(outcome.restarts.iter().map(|r| &r.outcome.stats));
+    (outcome.merged, metrics, Some(outcome.phases))
 }
 
 /// `mwsj explain` — the pre-run side of the cost & selectivity audit:
@@ -707,11 +686,8 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         args,
         Instance::new(graph, datasets).map_err(|e| e.to_string())?,
     )?;
-    let budget = match budget_from(args)? {
-        // Exact joins default to a generous budget.
-        b if b == SearchBudget::seconds(2.0) => SearchBudget::seconds(60.0),
-        b => b,
-    };
+    // Exact joins default to a generous budget.
+    let budget = budget_from(args, SearchBudget::seconds(60.0))?;
     let limit: usize = args
         .parse_or("limit", 100, "a solution limit")
         .map_err(|e| e.to_string())?;
@@ -742,7 +718,7 @@ fn cmd_join(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown exact algorithm '{other}'")),
     };
     obs.emit(RunEvent::Metrics {
-        snapshot: obs.metrics.snapshot(),
+        snapshot: metrics_of([&outcome.stats]),
     });
     obs.emit(RunEvent::Phases {
         phases: obs.timer.snapshot(),

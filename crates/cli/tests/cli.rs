@@ -521,3 +521,199 @@ fn sixty_four_bit_seeds_survive_the_metrics_round_trip() {
         "{log}"
     );
 }
+
+#[test]
+fn unusable_budget_flags_are_rejected() {
+    let dir = temp_dir("budgetval");
+    let a = generate(&dir, "a.csv", 100, 0.1, 1);
+    let a = a.to_str().unwrap();
+    let cases: [(&str, &str, &str); 8] = [
+        ("solve", "seconds", "inf"),
+        ("solve", "seconds", "1e300"),
+        ("solve", "seconds", "nan"),
+        ("solve", "seconds", "-1"),
+        ("solve", "seconds", "0"),
+        ("solve", "iterations", "0"),
+        ("join", "seconds", "inf"),
+        ("join", "iterations", "0"),
+    ];
+    for (command, flag, value) in cases {
+        let out = mwsj()
+            .args([command, "--data", a, "--data", a, "--query", "0-1"])
+            .args([&format!("--{flag}"), value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{command} --{flag} {value} must fail cleanly: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(
+            stderr.contains(&format!("--{flag} {value}: expected a positive")),
+            "{command} --{flag} {value}: {stderr}"
+        );
+    }
+}
+
+/// The `budget_secs` of the `run_start` event in a metrics JSONL file.
+fn budget_secs_of(metrics: &std::path::Path) -> Option<f64> {
+    let text = std::fs::read_to_string(metrics).unwrap();
+    mwsj_core::obs::schema::parse_jsonl(&text)
+        .unwrap()
+        .into_iter()
+        .find_map(|event| match event {
+            mwsj_core::obs::RunEvent::RunStart { budget_secs, .. } => Some(budget_secs),
+            _ => None,
+        })
+        .expect("run_start event")
+}
+
+#[test]
+fn join_keeps_an_explicit_seconds_budget() {
+    let dir = temp_dir("joinbudget");
+    let a = generate(&dir, "a.csv", 200, 0.3, 1);
+    let b = generate(&dir, "b.csv", 200, 0.3, 2);
+    let metrics = dir.join("run.jsonl");
+    let join = |extra: &[&str]| {
+        let out = mwsj()
+            .args(["join", "--data", a.to_str().unwrap(), "--data"])
+            .arg(b.to_str().unwrap())
+            .args(["--query", "0-1", "--metrics-out"])
+            .arg(&metrics)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        budget_secs_of(&metrics)
+    };
+    assert_eq!(join(&["--seconds", "2"]), Some(2.0));
+    assert_eq!(join(&[]), Some(60.0), "exact joins default to 60 s");
+}
+
+#[test]
+fn metrics_counters_equal_the_run_end_totals() {
+    use mwsj_core::obs::{schema, RunEvent};
+    use mwsj_core::{metric, MetricsSnapshot};
+
+    let dir = temp_dir("counter_invariant");
+    let dense: Vec<String> = [(1, 0.3), (2, 0.3), (3, 0.3)]
+        .iter()
+        .map(|&(seed, d)| {
+            let name = format!("d{seed}.csv");
+            generate(&dir, &name, 400, d, seed)
+                .to_str()
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    let sparse: Vec<String> = hard_trio(&dir)
+        .iter()
+        .map(|p| p.to_str().unwrap().to_string())
+        .collect();
+    // Runs the command and returns its `metrics` line, the snapshot, the
+    // `run_end` (steps, node accesses) and the `phases` line.
+    let run = |data: &[String], extra: &[&str]| -> (String, MetricsSnapshot, (u64, u64), String) {
+        let metrics = dir.join("run.jsonl");
+        let mut cmd = mwsj();
+        cmd.arg(extra[0]);
+        for d in data {
+            cmd.args(["--data", d]);
+        }
+        let out = cmd
+            .args(["--query", "chain", "--metrics-out"])
+            .arg(&metrics)
+            .args(&extra[1..])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let line = |kind: &str| {
+            text.lines()
+                .find(|l| l.starts_with(&format!("{{\"event\":\"{kind}\"")))
+                .unwrap_or_else(|| panic!("{extra:?}: no {kind} line in {text}"))
+                .to_string()
+        };
+        let mut snapshot = None;
+        let mut totals = None;
+        for event in schema::parse_jsonl(&text).unwrap() {
+            match event {
+                RunEvent::Metrics { snapshot: s } => snapshot = Some(s),
+                RunEvent::RunEnd {
+                    steps,
+                    node_accesses,
+                    ..
+                } => totals = Some((steps, node_accesses)),
+                _ => {}
+            }
+        }
+        (
+            line("metrics"),
+            snapshot.expect("metrics event"),
+            totals.expect("run_end event"),
+            line("phases"),
+        )
+    };
+    let steps_per_run = |snapshot: &MetricsSnapshot| {
+        snapshot
+            .histograms
+            .iter()
+            .find(|(name, _)| name == metric::STEPS_PER_RUN)
+            .map(|(_, h)| h.count)
+    };
+
+    let ils = run(&dense, &["solve", "--algo", "ils", "--iterations", "2000"]);
+    let portfolio = |threads: &str| {
+        run(
+            &dense,
+            &[
+                "solve",
+                "--algo",
+                "ils",
+                "--iterations",
+                "3000",
+                "--restarts",
+                "3",
+                "--threads",
+                threads,
+            ],
+        )
+    };
+    let (one_thread, two_threads) = (portfolio("1"), portfolio("2"));
+    let two_step = run(
+        &sparse,
+        &["solve", "--algo", "two-step", "--iterations", "3000"],
+    );
+    assert!(
+        two_step.3.contains("\"path\":\"systematic\""),
+        "IBB must run: {}",
+        two_step.3
+    );
+    let join = run(&dense[..2], &["join", "--algo", "wr"]);
+
+    for (label, (_, snapshot, (steps, accesses), _), runs) in [
+        ("ils", &ils, 1),
+        ("portfolio t=1", &one_thread, 3),
+        ("portfolio t=2", &two_threads, 3),
+        ("two-step", &two_step, 2),
+        ("join wr", &join, 1),
+    ] {
+        assert_eq!(snapshot.counter(metric::STEPS), Some(*steps), "{label}");
+        assert_eq!(
+            snapshot.counter(metric::NODE_ACCESSES),
+            Some(*accesses),
+            "{label}"
+        );
+        assert_eq!(steps_per_run(snapshot), Some(runs), "{label}");
+    }
+    assert_eq!(one_thread.0, two_threads.0, "metrics depend on --threads");
+}

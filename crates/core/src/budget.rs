@@ -253,9 +253,9 @@ impl SearchContext {
         self
     }
 
-    /// Attaches an observability handle: the run flushes its counters into
-    /// the handle's metrics registry, attributes steps to the handle's
-    /// phase timer, and emits improvement / stop-reason events to its sink.
+    /// Attaches an observability handle: the run attributes steps to the
+    /// handle's phase timer and emits improvement / stop-reason events to
+    /// its sink.
     /// Defaults to a fully disabled handle.
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.obs = obs;

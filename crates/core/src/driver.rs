@@ -4,7 +4,7 @@
 //! IBB, the two-step pipeline) carried its own copy of the run scaffolding:
 //! stepping the [`BudgetClock`], tracking the incumbent and
 //! [`TopSolutions`](crate::TopSolutions), recording `(step, similarity)`
-//! trace points, publishing bounds, flushing counters and emitting
+//! trace points, publishing bounds, freezing counters and emitting
 //! stop-reason / `run_end` events. [`SearchDriver`] owns all of that; the
 //! algorithms reduce to *drive* functions ([`DriveSearch`]) that only
 //! encode their search moves.
@@ -467,8 +467,8 @@ impl SearchDriver {
 
     /// Finishes an anytime run: falls back to a random solution when the
     /// budget expired before any incumbent existed, freezes the counters,
-    /// flushes them to the metrics registry, emits the stop-reason (and,
-    /// for standalone runs, `run_end`) events and assembles the outcome.
+    /// emits the stop-reason (and, for standalone runs, `run_end`) events
+    /// and assembles the outcome.
     pub(crate) fn finish(self, instance: &Instance, rng: &mut StdRng) -> RunOutcome {
         let fallback = |clock: &BudgetClock, rng: &mut StdRng| {
             let sol = instance.random_solution(rng);
@@ -535,7 +535,6 @@ impl SearchDriver {
         stats.elapsed = clock.elapsed();
         stats.steps = clock.steps();
         stats.improvements = incumbent.improvements;
-        crate::observe::flush_stats(clock.obs(), &stats);
         clock.emit_stop_reason();
         let outcome = RunOutcome {
             best_similarity: 1.0 - incumbent.best_violations as f64 / edges as f64,

@@ -60,7 +60,7 @@ pub use ibb::{Ibb, IbbConfig};
 pub use ils::{Ils, IlsConfig};
 pub use instance::{BackendKind, Instance, InstanceError, LeafLayout};
 pub use naive::{NaiveGa, NaiveGaConfig, NaiveLocalSearch, SaConfig, SimulatedAnnealing};
-pub use observe::metric;
+pub use observe::{metric, metrics_of, run_end_event};
 pub use pairwise::PairwiseJoin;
 pub use pjm::{Pjm, PjmOrder};
 pub use portfolio::{
@@ -79,6 +79,6 @@ pub use wr::{ExactJoinOutcome, WindowReduction};
 pub use mwsj_obs as obs;
 pub use mwsj_obs::{
     merge_phase_snapshots, EventSink, FanoutSink, FlightRecorder, FlushPolicy, JsonlSink,
-    MemoryFootprint, MetricsRegistry, MetricsSnapshot, ObsHandle, PhaseSnapshot, PhaseTimer,
-    ResourceReport, RunEvent, VecSink, DEFAULT_FLIGHT_RECORDER_BYTES,
+    MemoryFootprint, MetricsSnapshot, ObsHandle, PhaseSnapshot, PhaseTimer, ResourceReport,
+    RunEvent, VecSink, DEFAULT_FLIGHT_RECORDER_BYTES,
 };

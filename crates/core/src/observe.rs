@@ -1,16 +1,16 @@
 //! Glue between the search layer and `mwsj-obs`.
 //!
-//! The hot loops keep their plain `u64` counters in [`RunStats`] — an
-//! enabled-or-not check per `find best value` call would be pure overhead —
-//! and flush them into the metrics registry **once per run** when the run
-//! finishes. Event emission (incumbent improvements, stop reasons) happens
-//! at the same already-cold points, so a disabled [`ObsHandle`] costs one
-//! branch per run, not per step.
+//! The hot loops keep their plain `u64` counters in [`RunStats`], the one
+//! record of a run's work; nothing else counts it. The `metrics` event's
+//! snapshot is derived from finished runs' `RunStats` by [`metrics_of`]
+//! where a caller reports it. Event emission (incumbent improvements, stop
+//! reasons) happens at already-cold points, so a disabled [`ObsHandle`]
+//! costs one branch per run, not per step.
 
 use crate::budget::BudgetClock;
 use crate::instance::Instance;
 use crate::result::{RunOutcome, RunStats};
-use mwsj_obs::{ObsHandle, ResourceReport, RunEvent};
+use mwsj_obs::{HistogramSnapshot, MetricsSnapshot, ObsHandle, ResourceReport, RunEvent};
 
 /// Canonical metric names every search algorithm reports under.
 pub mod metric {
@@ -46,36 +46,84 @@ pub mod metric {
     }
 }
 
-/// Flushes a finished run's counters into the registry (no-op when the
-/// registry is disabled).
-pub(crate) fn flush_stats(obs: &ObsHandle, stats: &RunStats) {
-    if !obs.metrics.is_enabled() {
-        return;
+/// The `metrics` snapshot of a set of finished runs, named per
+/// [`metric`]: one snapshot per run, folded with
+/// [`MetricsSnapshot::merge`], so counters sum and
+/// [`metric::STEPS_PER_RUN`] holds one sample per run. Cache counters
+/// appear only for runs that used the window cache. Fold portfolio
+/// restarts in seed order; the result is then independent of the thread
+/// count under a step budget.
+pub fn metrics_of<'a>(runs: impl IntoIterator<Item = &'a RunStats>) -> MetricsSnapshot {
+    let mut total = MetricsSnapshot::default();
+    for stats in runs {
+        total.merge(&run_metrics(stats));
     }
-    let m = &obs.metrics;
-    m.counter(metric::STEPS).add(stats.steps);
-    m.counter(metric::RESTARTS).add(stats.restarts);
-    m.counter(metric::LOCAL_MAXIMA).add(stats.local_maxima);
-    m.counter(metric::NODE_ACCESSES).add(stats.node_accesses);
-    m.counter(metric::IMPROVEMENTS).add(stats.improvements);
-    m.histogram(metric::STEPS_PER_RUN).record(stats.steps);
+    total
+}
+
+/// One run's snapshot, unsorted: [`MetricsSnapshot::merge`] sorts it.
+fn run_metrics(stats: &RunStats) -> MetricsSnapshot {
+    let named = |(name, value): (&str, u64)| (name.to_string(), value);
+    let mut counters: Vec<(String, u64)> = [
+        (metric::STEPS, stats.steps),
+        (metric::RESTARTS, stats.restarts),
+        (metric::LOCAL_MAXIMA, stats.local_maxima),
+        (metric::NODE_ACCESSES, stats.node_accesses),
+        (metric::IMPROVEMENTS, stats.improvements),
+    ]
+    .map(named)
+    .into();
     let cache = &stats.cache;
     if !cache.per_var.is_empty() {
-        m.counter(metric::CACHE_HITS).add(cache.hits());
-        m.counter(metric::CACHE_MISSES).add(cache.misses());
-        m.counter(metric::CACHE_INVALIDATIONS_REASSIGN)
-            .add(cache.invalidations_reassign());
-        m.counter(metric::CACHE_INVALIDATIONS_PENALTY)
-            .add(cache.invalidations_penalty());
-        m.counter(metric::CACHE_BYTES).add(cache.bytes);
+        counters.extend(
+            [
+                (metric::CACHE_HITS, cache.hits()),
+                (metric::CACHE_MISSES, cache.misses()),
+                (
+                    metric::CACHE_INVALIDATIONS_REASSIGN,
+                    cache.invalidations_reassign(),
+                ),
+                (
+                    metric::CACHE_INVALIDATIONS_PENALTY,
+                    cache.invalidations_penalty(),
+                ),
+                (metric::CACHE_BYTES, cache.bytes),
+            ]
+            .map(named),
+        );
         for (var, v) in cache.per_var.iter().enumerate() {
-            m.counter(&metric::cache_var(var, "hits")).add(v.hits);
-            m.counter(&metric::cache_var(var, "misses")).add(v.misses);
-            m.counter(&metric::cache_var(var, "invalidations.reassign"))
-                .add(v.invalidations_reassign);
-            m.counter(&metric::cache_var(var, "invalidations.penalty"))
-                .add(v.invalidations_penalty);
+            counters.extend(
+                [
+                    ("hits", v.hits),
+                    ("misses", v.misses),
+                    ("invalidations.reassign", v.invalidations_reassign),
+                    ("invalidations.penalty", v.invalidations_penalty),
+                ]
+                .map(|(kind, n)| (metric::cache_var(var, kind), n)),
+            );
         }
+    }
+    let mut steps_per_run = HistogramSnapshot::default();
+    steps_per_run.record(stats.steps);
+    MetricsSnapshot {
+        counters,
+        histograms: vec![(metric::STEPS_PER_RUN.to_string(), steps_per_run)],
+    }
+}
+
+/// The `run_end` summary event of a finished outcome: its best solution's
+/// quality and its [`RunStats`] totals.
+pub fn run_end_event(outcome: &RunOutcome) -> RunEvent {
+    RunEvent::RunEnd {
+        best_violations: outcome.best_violations as u64,
+        best_similarity: outcome.best_similarity,
+        steps: outcome.stats.steps,
+        node_accesses: outcome.stats.node_accesses,
+        local_maxima: outcome.stats.local_maxima,
+        improvements: outcome.stats.improvements,
+        restarts: outcome.stats.restarts,
+        elapsed_secs: outcome.stats.elapsed.as_secs_f64(),
+        proven_optimal: outcome.proven_optimal,
     }
 }
 
@@ -94,16 +142,6 @@ pub(crate) fn emit_improvement(clock: &BudgetClock, violations: usize, edges: us
     });
 }
 
-/// Emits the `run_end` summary event for a finished outcome (no-op without
-/// a sink). Ownership rule: exactly **one** `run_end` per top-level run —
-/// the search driver emits it for standalone runs, composites
-/// ([`crate::TwoStep`], [`crate::ParallelPortfolio`]) emit one merged event
-/// and mark their component runs nested instead.
-/// Emits the `resource_report` memory table for a finished run (no-op
-/// without a sink). Follows the `run_end` ownership rule: one report per
-/// top-level run, emitted just before its `run_end`. Components: the
-/// instance's index structures (unique datasets only — self-joins share
-/// one), the window cache(s) and the retained top solutions.
 /// Emits the `explain_report` estimate-vs-actual audit for a finished run
 /// (no-op without a sink). Follows the `run_end` ownership rule: one
 /// report per top-level run, emitted just before its `resource_report`.
@@ -115,6 +153,11 @@ pub(crate) fn emit_explain_report(obs: &ObsHandle, instance: &Instance, outcome:
     obs.emit(RunEvent::ExplainReport { report });
 }
 
+/// Emits the `resource_report` memory table for a finished run (no-op
+/// without a sink). Follows the `run_end` ownership rule: one report per
+/// top-level run, emitted just before its `run_end`. Components: the
+/// instance's index structures (unique datasets only — self-joins share
+/// one), the window cache(s) and the retained top solutions.
 pub(crate) fn emit_resource_report(obs: &ObsHandle, instance: &Instance, outcome: &RunOutcome) {
     if !obs.has_sink() {
         return;
@@ -134,19 +177,13 @@ pub(crate) fn emit_resource_report(obs: &ObsHandle, instance: &Instance, outcome
     obs.emit(RunEvent::ResourceReport { report });
 }
 
+/// Emits the `run_end` summary event for a finished outcome (no-op without
+/// a sink). Ownership rule: exactly **one** `run_end` per top-level run —
+/// the search driver emits it for standalone runs, composites
+/// ([`crate::TwoStep`], [`crate::ParallelPortfolio`]) emit one merged event
+/// and mark their component runs nested instead.
 pub(crate) fn emit_run_end(obs: &ObsHandle, outcome: &RunOutcome) {
-    if !obs.has_sink() {
-        return;
+    if obs.has_sink() {
+        obs.emit(run_end_event(outcome));
     }
-    obs.emit(RunEvent::RunEnd {
-        best_violations: outcome.best_violations as u64,
-        best_similarity: outcome.best_similarity,
-        steps: outcome.stats.steps,
-        node_accesses: outcome.stats.node_accesses,
-        local_maxima: outcome.stats.local_maxima,
-        improvements: outcome.stats.improvements,
-        restarts: outcome.stats.restarts,
-        elapsed_secs: outcome.stats.elapsed.as_secs_f64(),
-        proven_optimal: outcome.proven_optimal,
-    });
 }

@@ -219,7 +219,6 @@ impl Pjm {
 
         stats.elapsed = clock.elapsed();
         stats.steps = clock.steps();
-        crate::observe::flush_stats(clock.obs(), &stats);
         clock.emit_stop_reason();
         ExactJoinOutcome {
             solutions,

@@ -39,7 +39,7 @@
 use crate::budget::{SearchBudget, SearchContext, SharedSearchState, TelemetryConfig};
 use crate::instance::Instance;
 use crate::result::{RunOutcome, RunStats, TopSolutions, TracePoint};
-use mwsj_obs::{merge_phase_snapshots, MetricsSnapshot, ObsHandle, PhaseSnapshot, RunEvent};
+use mwsj_obs::{merge_phase_snapshots, ObsHandle, PhaseSnapshot, RunEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -140,9 +140,6 @@ pub struct RestartOutcome {
     pub seed: u64,
     /// The restart's own search outcome.
     pub outcome: RunOutcome,
-    /// Snapshot of the restart's private metrics registry (empty when the
-    /// portfolio ran without observability).
-    pub metrics: MetricsSnapshot,
     /// Snapshot of the restart's phase timings (empty when disabled).
     pub phases: Vec<PhaseSnapshot>,
 }
@@ -164,11 +161,6 @@ pub struct PortfolioOutcome {
     /// [`crate::IbbConfig`] to mirror the two-step scheme with a
     /// parallel first step.
     pub bound_violations: Option<usize>,
-    /// Seed-ordered merge of the per-restart metrics snapshots: counters
-    /// sum, gauges take the maximum, histograms add bucket-wise. Under a
-    /// step budget this is bit-identical across thread counts, exactly
-    /// like the solution-valued outputs (see the module docs).
-    pub metrics: MetricsSnapshot,
     /// Merge of the per-restart phase timings (wall-clock fields are
     /// measured and exempt from the determinism guarantee).
     pub phases: Vec<PhaseSnapshot>,
@@ -228,11 +220,13 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
     }
 
     /// Like [`ParallelPortfolio::run`], additionally reporting through
-    /// `obs`: every restart gets a private registry and timer (mirroring
-    /// `obs`'s enabledness) via [`ObsHandle::for_restart`], restart
-    /// lifecycle events go to the shared sink, and the per-restart
-    /// snapshots are merged seed-ordered into [`PortfolioOutcome::metrics`]
-    /// / [`PortfolioOutcome::phases`].
+    /// `obs`: every restart gets a private timer (mirroring `obs`'s
+    /// enabledness) via [`ObsHandle::for_restart`], restart lifecycle
+    /// events go to the shared sink, and the per-restart phase snapshots
+    /// are merged seed-ordered into [`PortfolioOutcome::phases`]. The
+    /// portfolio's `metrics` snapshot is
+    /// [`metrics_of`](crate::metrics_of) over the restarts' `RunStats` in
+    /// seed order.
     pub fn run_with_obs(
         &self,
         instance: &Instance,
@@ -305,13 +299,6 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
         crate::observe::emit_resource_report(obs, instance, &merged);
         crate::observe::emit_run_end(obs, &merged);
 
-        // Seed-ordered reduction of the per-restart snapshots: the fold
-        // visits restarts in index order, so the merged values are
-        // independent of which thread ran which restart.
-        let mut metrics = MetricsSnapshot::default();
-        for restart in &outcomes {
-            metrics.merge(&restart.metrics);
-        }
         let phases = merge_phase_snapshots(outcomes.iter().map(|r| r.phases.clone()));
 
         PortfolioOutcome {
@@ -319,7 +306,6 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
             restarts: outcomes,
             threads_used,
             bound_violations: shared.bound_violations(),
-            metrics,
             phases,
         }
     }
@@ -363,7 +349,6 @@ impl<A: AnytimeSearch> ParallelPortfolio<A> {
         RestartOutcome {
             index,
             seed,
-            metrics: robs.metrics.snapshot(),
             phases: robs.timer.snapshot(),
             outcome,
         }
@@ -423,14 +408,7 @@ fn merge_outcomes(outcomes: &[RestartOutcome], edges: usize, top_k: usize) -> Ru
     // with the portfolio's wall-clock).
     let mut stats = RunStats::default();
     for restart in outcomes {
-        let s = &restart.outcome.stats;
-        stats.steps += s.steps;
-        stats.restarts += s.restarts;
-        stats.local_maxima += s.local_maxima;
-        stats.node_accesses += s.node_accesses;
-        stats.improvements += s.improvements;
-        stats.cache.absorb(&s.cache);
-        stats.access_profile.absorb(&s.access_profile);
+        stats.absorb(&restart.outcome.stats);
     }
 
     RunOutcome {
@@ -449,6 +427,7 @@ mod tests {
     use super::*;
     use crate::gils::Gils;
     use crate::ils::Ils;
+    use crate::observe::metrics_of;
     use crate::sea::Sea;
     use mwsj_datagen::{hard_region_density, Dataset, QueryShape};
 
@@ -522,14 +501,31 @@ mod tests {
                 ParallelPortfolio::new(Ils::default(), PortfolioConfig::new(4, threads))
                     .run_with_obs(&inst, &budget, 1234, &ObsHandle::enabled())
             };
+        let metrics =
+            |o: &PortfolioOutcome| metrics_of(o.restarts.iter().map(|r| &r.outcome.stats));
         let sequential = run(1);
         let parallel = run(4);
         assert_eq!(sequential.threads_used, 1);
         assert_eq!(parallel.threads_used, 4);
-        assert_eq!(sequential.metrics, parallel.metrics);
+        let (seq_metrics, par_metrics) = (metrics(&sequential), metrics(&parallel));
+        assert_eq!(seq_metrics, par_metrics);
         for (a, b) in sequential.restarts.iter().zip(&parallel.restarts) {
-            assert_eq!(a.metrics, b.metrics, "restart {} metrics differ", a.index);
+            assert_eq!(
+                metrics_of([&a.outcome.stats]),
+                metrics_of([&b.outcome.stats]),
+                "restart {} metrics differ",
+                a.index
+            );
         }
+        assert_eq!(
+            seq_metrics
+                .histograms
+                .iter()
+                .find(|(name, _)| name == crate::observe::metric::STEPS_PER_RUN)
+                .map(|(_, h)| h.count),
+            Some(4),
+            "one steps_per_run sample per restart"
+        );
         // Phase paths, call counts and step attribution are deterministic;
         // wall-clock is measured and exempt.
         let shape = |phases: &[PhaseSnapshot]| -> Vec<(String, u64, u64)> {
@@ -541,13 +537,14 @@ mod tests {
         assert_eq!(shape(&sequential.phases), shape(&parallel.phases));
         // The merged counters agree with the merged RunStats.
         assert_eq!(
-            sequential.metrics.counter(crate::observe::metric::STEPS),
+            seq_metrics.counter(crate::observe::metric::STEPS),
             Some(sequential.merged.stats.steps)
         );
-        assert!(sequential
-            .metrics
-            .counter(crate::observe::metric::NODE_ACCESSES)
-            .is_some_and(|n| n > 0));
+        assert_eq!(
+            seq_metrics.counter(crate::observe::metric::NODE_ACCESSES),
+            Some(sequential.merged.stats.node_accesses)
+        );
+        assert!(sequential.merged.stats.node_accesses > 0);
         // Cache-efficiency telemetry obeys the same determinism contract:
         // counters are present, meaningful, and independent of threads.
         for name in [
@@ -556,25 +553,21 @@ mod tests {
             crate::observe::metric::CACHE_BYTES,
         ] {
             assert_eq!(
-                sequential.metrics.counter(name),
-                parallel.metrics.counter(name),
+                seq_metrics.counter(name),
+                par_metrics.counter(name),
                 "{name} differs across thread counts"
             );
             assert!(
-                sequential.metrics.counter(name).is_some_and(|n| n > 0),
+                seq_metrics.counter(name).is_some_and(|n| n > 0),
                 "{name} missing or zero"
             );
         }
         assert_eq!(
-            sequential
-                .metrics
-                .counter(crate::observe::metric::CACHE_HITS),
+            seq_metrics.counter(crate::observe::metric::CACHE_HITS),
             Some(sequential.merged.stats.cache.hits())
         );
         assert_eq!(
-            sequential
-                .metrics
-                .counter(crate::observe::metric::CACHE_MISSES),
+            seq_metrics.counter(crate::observe::metric::CACHE_MISSES),
             Some(sequential.merged.stats.cache.misses())
         );
         assert_eq!(sequential.merged.stats.cache, parallel.merged.stats.cache);
@@ -588,7 +581,6 @@ mod tests {
             &SearchBudget::iterations(200),
             3,
         );
-        assert_eq!(outcome.metrics, MetricsSnapshot::default());
         assert!(outcome.phases.is_empty());
     }
 

@@ -29,6 +29,24 @@ pub struct RunStats {
     pub access_profile: AccessProfile,
 }
 
+impl RunStats {
+    /// Adds another run's counters to these: elapsed time and every count
+    /// sum, and the cache and access-profile telemetry merge pointwise.
+    /// The portfolio's seed-ordered reduction and
+    /// [`TwoStepOutcome::total_stats`](crate::TwoStepOutcome::total_stats)
+    /// are folds of this.
+    pub fn absorb(&mut self, other: &RunStats) {
+        self.elapsed += other.elapsed;
+        self.steps += other.steps;
+        self.restarts += other.restarts;
+        self.local_maxima += other.local_maxima;
+        self.node_accesses += other.node_accesses;
+        self.improvements += other.improvements;
+        self.cache.absorb(&other.cache);
+        self.access_profile.absorb(&other.access_profile);
+    }
+}
+
 /// Per-variable, per-tree-level attribution of R*-tree node accesses.
 ///
 /// `per_var[v][l]` counts the nodes of variable `v`'s tree visited at

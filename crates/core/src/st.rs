@@ -118,7 +118,6 @@ impl SynchronousTraversal {
         let mut stats = state.stats;
         stats.elapsed = state.clock.elapsed();
         stats.steps = state.clock.steps();
-        crate::observe::flush_stats(state.clock.obs(), &stats);
         state.clock.emit_stop_reason();
         let complete = !state.truncated && state.solutions.len() < state.limit;
         ExactJoinOutcome {

@@ -47,20 +47,20 @@ impl TwoStepOutcome {
         self.systematic.is_some()
     }
 
-    /// Aggregate counters across both steps: elapsed times add up, and all
-    /// count-style fields (steps, node accesses, …) are summed. Useful for
-    /// accounting the total index work of the pipeline.
+    /// The runs that made up the pipeline, in order: the heuristic, then
+    /// the systematic search when it ran.
+    pub fn stages(&self) -> impl Iterator<Item = &RunOutcome> {
+        std::iter::once(&self.heuristic).chain(&self.systematic)
+    }
+
+    /// Aggregate counters across both steps (see [`RunStats::absorb`]):
+    /// elapsed times add up, and all count-style fields (steps, node
+    /// accesses, …) are summed. Useful for accounting the total index work
+    /// of the pipeline.
     pub fn total_stats(&self) -> RunStats {
-        let mut total = self.heuristic.stats.clone();
-        if let Some(sys) = &self.systematic {
-            total.elapsed += sys.stats.elapsed;
-            total.steps += sys.stats.steps;
-            total.restarts += sys.stats.restarts;
-            total.local_maxima += sys.stats.local_maxima;
-            total.node_accesses += sys.stats.node_accesses;
-            total.improvements += sys.stats.improvements;
-            total.cache.absorb(&sys.stats.cache);
-            total.access_profile.absorb(&sys.stats.access_profile);
+        let mut total = RunStats::default();
+        for stage in self.stages() {
+            total.absorb(&stage.stats);
         }
         total
     }

@@ -24,11 +24,10 @@
 //!
 //! Every query is classified into the cache's own telemetry
 //! ([`CacheStats`]: hits, misses, invalidations by cause, per variable) as
-//! plain `u64` increments — no atomics, no registry lookups in the hot
-//! loop. Drives absorb the counters into
-//! [`RunStats`](crate::RunStats) when the run finishes, from where they
-//! follow the same deterministic flush-and-merge path as every other work
-//! counter (DESIGN.md §5g).
+//! plain `u64` increments — no atomics, no lookups in the hot loop.
+//! Drives absorb the counters into [`RunStats`](crate::RunStats) when the
+//! run finishes, from where they follow the same deterministic
+//! seed-ordered merge as every other work counter (DESIGN.md §5g).
 
 use crate::find_best_value::{best_value_in_windows, BestValue};
 use crate::instance::Instance;

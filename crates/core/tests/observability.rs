@@ -1,10 +1,11 @@
 //! Cross-algorithm observability audit: every index-driven algorithm must
-//! account its R*-tree node accesses in [`mwsj_core::RunStats`] and flush
-//! its counters into an enabled metrics registry.
+//! account its R*-tree node accesses in [`mwsj_core::RunStats`], from
+//! which the `metrics` snapshot is derived.
 
 use mwsj_core::{
-    metric, Gils, Ibb, IbbConfig, Ils, ObsHandle, Pjm, RunEvent, Sea, SeaConfig, SearchBudget,
-    SearchContext, SynchronousTraversal, TwoStep, TwoStepConfig, VecSink, WindowReduction,
+    metric, metrics_of, Gils, Ibb, IbbConfig, Ils, ObsHandle, Pjm, RunEvent, Sea, SeaConfig,
+    SearchBudget, SearchContext, SynchronousTraversal, TwoStep, TwoStepConfig, VecSink,
+    WindowReduction,
 };
 use mwsj_core::{IlsConfig, Instance};
 use mwsj_datagen::{hard_region_density, plant_solution, Dataset, QueryShape};
@@ -103,7 +104,7 @@ fn pjm_counts_accesses_on_the_generic_predicate_path() {
 }
 
 #[test]
-fn enabled_registry_receives_flushed_counters_and_events() {
+fn metrics_are_derived_from_run_stats_and_events_flow() {
     let inst = hard_instance(204, QueryShape::Chain, 4, 200);
     let sink = Arc::new(VecSink::new());
     let obs = ObsHandle::enabled().with_sink(sink.clone());
@@ -111,8 +112,13 @@ fn enabled_registry_receives_flushed_counters_and_events() {
     let mut rng = StdRng::seed_from_u64(205);
     let outcome = Ils::default().search(&inst, &ctx, &mut rng);
 
-    let snap = obs.metrics.snapshot();
+    let snap = metrics_of([&outcome.stats]);
     assert_eq!(snap.counter(metric::STEPS), Some(outcome.stats.steps));
+    assert_eq!(snap.counter(metric::RESTARTS), Some(outcome.stats.restarts));
+    assert_eq!(
+        snap.counter(metric::LOCAL_MAXIMA),
+        Some(outcome.stats.local_maxima)
+    );
     assert_eq!(
         snap.counter(metric::NODE_ACCESSES),
         Some(outcome.stats.node_accesses)
@@ -120,6 +126,32 @@ fn enabled_registry_receives_flushed_counters_and_events() {
     assert_eq!(
         snap.counter(metric::IMPROVEMENTS),
         Some(outcome.stats.improvements)
+    );
+    // ILS runs with the window cache, so its counters are reported too.
+    assert_eq!(
+        snap.counter(metric::CACHE_HITS),
+        Some(outcome.stats.cache.hits())
+    );
+    assert_eq!(
+        snap.counter(metric::CACHE_MISSES),
+        Some(outcome.stats.cache.misses())
+    );
+    let (name, steps_per_run) = &snap.histograms[0];
+    assert_eq!(name, metric::STEPS_PER_RUN);
+    assert_eq!(
+        (steps_per_run.count, steps_per_run.sum),
+        (1, outcome.stats.steps)
+    );
+    // Two runs fold into one snapshot: counters add, one sample each.
+    let twice = metrics_of([&outcome.stats, &outcome.stats]);
+    assert_eq!(twice.counter(metric::STEPS), Some(2 * outcome.stats.steps));
+    assert_eq!(twice.histograms[0].1.count, 2);
+    // Runs without the window cache report no cache counters.
+    let uncached = Ibb::new(IbbConfig::new()).run(&inst, &SearchBudget::iterations(50));
+    assert!(uncached.stats.cache.per_var.is_empty());
+    assert_eq!(
+        metrics_of([&uncached.stats]).counter(metric::CACHE_HITS),
+        None
     );
 
     let events = sink.events();
@@ -150,6 +182,5 @@ fn disabled_handle_collects_nothing() {
     let ctx = SearchContext::local(SearchBudget::iterations(100)).with_obs(obs.clone());
     let mut rng = StdRng::seed_from_u64(207);
     let _ = Ils::default().search(&inst, &ctx, &mut rng);
-    assert!(obs.metrics.snapshot().is_empty());
     assert!(obs.timer.snapshot().is_empty());
 }

@@ -11,7 +11,7 @@
 
 use crate::explain::ExplainReport;
 use crate::json::Json;
-use crate::registry::MetricsSnapshot;
+use crate::metrics::MetricsSnapshot;
 use crate::resource::ResourceReport;
 use crate::schema::SchemaError;
 use crate::timer::PhaseSnapshot;
@@ -247,7 +247,7 @@ run_events! {
     }
     /// Frozen metrics of the run (or the merged portfolio metrics).
     Metrics = "metrics" {
-        /// The snapshot (flattened: `counters`, `gauges`, `histograms`).
+        /// The snapshot (flattened: `counters`, `histograms`).
         snapshot: MetricsSnapshot,
     }
     /// Frozen phase-timer aggregates of the run.
@@ -468,15 +468,20 @@ impl EventSink for VecSink {
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::registry::MetricsRegistry;
+    use crate::metrics::HistogramSnapshot;
     use std::time::Duration;
+
+    fn snapshot(counter: (&str, u64), histogram: (&str, u64)) -> MetricsSnapshot {
+        let mut h = HistogramSnapshot::default();
+        h.record(histogram.1);
+        MetricsSnapshot {
+            counters: vec![(counter.0.into(), counter.1)],
+            histograms: vec![(histogram.0.into(), h)],
+        }
+    }
 
     #[test]
     fn every_event_serialises_to_parseable_json() {
-        let reg = MetricsRegistry::new();
-        reg.counter("search.steps").add(3);
-        reg.gauge("g").set(0.5);
-        reg.histogram("h").record(4);
         let events = vec![
             RunEvent::RunStart {
                 algo: "ILS".into(),
@@ -563,7 +568,7 @@ mod tests {
                 elapsed_secs: 0.1,
             },
             RunEvent::Metrics {
-                snapshot: reg.snapshot(),
+                snapshot: snapshot(("search.steps", 3), ("h", 4)),
             },
             RunEvent::Phases {
                 phases: vec![PhaseSnapshot {
@@ -602,11 +607,8 @@ mod tests {
 
     #[test]
     fn metrics_event_embeds_snapshot_values() {
-        let reg = MetricsRegistry::new();
-        reg.counter("steps").add(17);
-        reg.histogram("h").record(5);
         let line = RunEvent::Metrics {
-            snapshot: reg.snapshot(),
+            snapshot: snapshot(("steps", 17), ("h", 5)),
         }
         .to_json();
         let parsed = Json::parse(&line).unwrap();

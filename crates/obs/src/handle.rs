@@ -1,21 +1,17 @@
-//! [`ObsHandle`]: the bundle of registry, timer and event sink that the
+//! [`ObsHandle`]: the bundle of phase timer and event sink that the
 //! search layer threads through its contexts.
 
 use crate::events::{EventSink, RunEvent};
-use crate::registry::MetricsRegistry;
 use crate::timer::PhaseTimer;
 use std::sync::Arc;
 
-/// One observability attachment point: a metrics registry, a phase timer,
-/// an optional event sink and (inside a portfolio) the restart index.
+/// One observability attachment point: a phase timer, an optional event
+/// sink and (inside a portfolio) the restart index.
 ///
 /// The default handle is fully disabled, so instrumented code can hold one
-/// unconditionally. Cloning shares the registry/timer storage and the
-/// sink.
+/// unconditionally. Cloning shares the timer storage and the sink.
 #[derive(Clone, Default)]
 pub struct ObsHandle {
-    /// The metrics registry (possibly disabled).
-    pub metrics: MetricsRegistry,
     /// The phase timer (possibly disabled).
     pub timer: PhaseTimer,
     sink: Option<Arc<dyn EventSink>>,
@@ -25,7 +21,6 @@ pub struct ObsHandle {
 impl std::fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsHandle")
-            .field("metrics", &self.metrics.is_enabled())
             .field("timer", &self.timer.is_enabled())
             .field("sink", &self.sink.is_some())
             .field("restart", &self.restart)
@@ -39,22 +34,9 @@ impl ObsHandle {
         ObsHandle::default()
     }
 
-    /// A handle with a fresh enabled registry and timer and no sink.
+    /// A handle with a fresh enabled timer and no sink.
     pub fn enabled() -> Self {
         ObsHandle {
-            metrics: MetricsRegistry::new(),
-            timer: PhaseTimer::new(),
-            sink: None,
-            restart: None,
-        }
-    }
-
-    /// A handle with only the phase timer enabled — for callers that want
-    /// a phase profile without paying for metrics or an event stream
-    /// (e.g. `mwsj solve --profile-out` alone).
-    pub fn timer_only() -> Self {
-        ObsHandle {
-            metrics: MetricsRegistry::disabled(),
             timer: PhaseTimer::new(),
             sink: None,
             restart: None,
@@ -67,17 +49,11 @@ impl ObsHandle {
         self
     }
 
-    /// Derives the handle for portfolio restart `index`: a **fresh**
-    /// registry and timer (mirroring this handle's enabledness, so each
-    /// restart's metrics can be reduced deterministically in seed order)
-    /// sharing the same event sink.
+    /// Derives the handle for portfolio restart `index`: a **fresh** timer
+    /// (mirroring this handle's enabledness, so each restart's phases can
+    /// be merged in seed order) sharing the same event sink.
     pub fn for_restart(&self, index: u64) -> Self {
         ObsHandle {
-            metrics: if self.metrics.is_enabled() {
-                MetricsRegistry::new()
-            } else {
-                MetricsRegistry::disabled()
-            },
             timer: if self.timer.is_enabled() {
                 PhaseTimer::new()
             } else {
@@ -117,9 +93,9 @@ impl ObsHandle {
         }
     }
 
-    /// `true` when any of the three components is active.
+    /// `true` when the timer or the sink is active.
     pub fn is_enabled(&self) -> bool {
-        self.metrics.is_enabled() || self.timer.is_enabled() || self.sink.is_some()
+        self.timer.is_enabled() || self.sink.is_some()
     }
 }
 
@@ -142,13 +118,14 @@ mod tests {
     }
 
     #[test]
-    fn for_restart_isolates_metrics_but_shares_sink() {
+    fn for_restart_isolates_timer_but_shares_sink() {
         let sink = Arc::new(VecSink::new());
         let obs = ObsHandle::enabled().with_sink(sink.clone());
         let child = obs.for_restart(3);
         assert_eq!(child.restart(), Some(3));
-        child.metrics.counter("c").inc();
-        assert_eq!(obs.metrics.snapshot().counter("c"), None);
+        drop(child.timer.span("restart[3]"));
+        assert_eq!(child.timer.snapshot().len(), 1);
+        assert!(obs.timer.snapshot().is_empty());
         child.emit(RunEvent::RestartStart {
             restart: 3,
             seed: 9,
@@ -159,7 +136,6 @@ mod tests {
     #[test]
     fn for_restart_of_disabled_handle_stays_disabled() {
         let child = ObsHandle::disabled().for_restart(0);
-        assert!(!child.metrics.is_enabled());
         assert!(!child.timer.is_enabled());
         assert_eq!(child.restart(), Some(0));
     }

@@ -4,13 +4,8 @@
 //! The paper's whole evaluation (Figs. 10a–c, 11 of *Papadias &
 //! Arkoumanis, EDBT 2002*) is instrumentation: similarity-over-time
 //! convergence, node accesses and step counts. This crate centralises that
-//! bookkeeping behind three cooperating pieces:
+//! bookkeeping behind two cooperating pieces:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges and log₂-bucketed
-//!   histograms. A registry handle is either *enabled* (backed by shared
-//!   atomic cells) or *disabled* (every operation is a single `Option`
-//!   check), so instrumented code pays near-zero cost when observability
-//!   is off.
 //! * [`PhaseTimer`] — hierarchical wall-clock spans
 //!   (`solve > restart[3] > find_best_value`) with per-phase call counts
 //!   and step attribution.
@@ -25,7 +20,11 @@
 //!   Nested records declare their wire form once with [`wire`]'s
 //!   `wire_record!`, and [`Json`] is the one encoder underneath.
 //!
-//! [`ObsHandle`] bundles the three for threading through search contexts.
+//! [`ObsHandle`] bundles the two for threading through search contexts.
+//! Work counters are not one of them: the search layer keeps its own
+//! per-run counter record and derives the `metrics` event's
+//! [`MetricsSnapshot`] (named counters and log₂-bucketed histograms) from
+//! it when a run is reported.
 //!
 //! On top of the raw streams sit the performance-trajectory tools:
 //! [`AnytimeCurve`] folds improvement events into the paper's
@@ -36,7 +35,7 @@
 //! `mwsj bench compare`, and [`profile::to_folded`] exports phase timers as
 //! flamegraph-ready folded stacks.
 //!
-//! **Determinism contract.** Metric *values* flushed by the search layer
+//! **Determinism contract.** Metric *values* reported by the search layer
 //! are pure counters of algorithmic work (steps, node accesses, …) and are
 //! bit-identical across thread counts under a step budget; wall-clock
 //! lives only in timers and events, which are exempt. See
@@ -51,8 +50,8 @@ pub mod events;
 pub mod explain;
 pub mod handle;
 pub mod json;
+pub mod metrics;
 pub mod profile;
-pub mod registry;
 pub mod resource;
 pub mod schema;
 pub mod snapshot;
@@ -68,10 +67,8 @@ pub use events::{EventSink, FanoutSink, FlushPolicy, JsonlSink, RunEvent, VecSin
 pub use explain::{EdgeExplain, ExplainReport, GridQuality, TreeQuality, VarExplain};
 pub use handle::ObsHandle;
 pub use json::Json;
+pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use profile::{folded_root_totals, parse_folded, to_folded};
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
 pub use resource::{
     FlightRecorder, MemoryFootprint, ResourceReport, DEFAULT_FLIGHT_RECORDER_BYTES,
 };

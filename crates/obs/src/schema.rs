@@ -129,7 +129,7 @@ pub fn render_table() -> String {
 mod tests {
     use super::*;
     use crate::events::RunEvent;
-    use crate::registry::MetricsRegistry;
+    use crate::metrics::MetricsSnapshot;
 
     #[test]
     fn emitted_events_validate() {
@@ -194,7 +194,7 @@ mod tests {
                 elapsed_secs: 0.2,
             },
             RunEvent::Metrics {
-                snapshot: MetricsRegistry::new().snapshot(),
+                snapshot: MetricsSnapshot::default(),
             },
             RunEvent::Phases { phases: vec![] },
             RunEvent::ExplainReport {

@@ -9,8 +9,8 @@
 //! assertions, committed baselines, downstream tooling) has to follow.
 
 use mwsj_obs::{
-    BenchSnapshot, EdgeExplain, ExplainReport, GridQuality, MetricsRegistry, PhaseSnapshot,
-    ResourceReport, RunEvent, TreeQuality, VarExplain,
+    schema, BenchSnapshot, EdgeExplain, ExplainReport, GridQuality, HistogramSnapshot,
+    MetricsSnapshot, PhaseSnapshot, ResourceReport, RunEvent, TreeQuality, VarExplain,
 };
 use std::time::Duration;
 
@@ -75,13 +75,16 @@ fn explain(observed: bool, grid: bool) -> ExplainReport {
 
 /// One event of every kind, each optional field both set and unset.
 fn events() -> Vec<RunEvent> {
-    let reg = MetricsRegistry::new();
-    reg.counter("search.steps").add(12_345_678_901_234_567_890);
-    reg.counter("search.node_accesses").add(420);
-    reg.gauge("cache.fill").set(0.375);
-    reg.gauge("whole").set(3.0);
-    reg.histogram("search.steps_per_run").record(5);
-    reg.histogram("search.steps_per_run").record(1000);
+    let mut steps_per_run = HistogramSnapshot::default();
+    steps_per_run.record(5);
+    steps_per_run.record(1000);
+    let metrics = MetricsSnapshot {
+        counters: vec![
+            ("search.node_accesses".into(), 420),
+            ("search.steps".into(), 12_345_678_901_234_567_890),
+        ],
+        histograms: vec![("search.steps_per_run".into(), steps_per_run)],
+    };
     let mut resources = ResourceReport::new();
     resources.record("rtree.var000", 8192);
     resources.record("window_cache", 96);
@@ -215,11 +218,9 @@ fn events() -> Vec<RunEvent> {
             rounds: 64,
             elapsed_secs: 0.15,
         },
+        RunEvent::Metrics { snapshot: metrics },
         RunEvent::Metrics {
-            snapshot: reg.snapshot(),
-        },
-        RunEvent::Metrics {
-            snapshot: MetricsRegistry::new().snapshot(),
+            snapshot: MetricsSnapshot::default(),
         },
         RunEvent::Phases {
             phases: vec![
@@ -293,8 +294,8 @@ const GOLDEN: &[&str] = &[
     r#"{"event":"stall_aborted","steps":951,"elapsed_secs":0.32}"#,
     r#"{"event":"stagnation_reseed","restart":0,"step":430,"rounds":1000,"elapsed_secs":0.1}"#,
     r#"{"event":"stagnation_reseed","step":431,"rounds":64,"elapsed_secs":0.15}"#,
-    r#"{"event":"metrics","counters":{"search.node_accesses":420,"search.steps":12345678901234567890},"gauges":{"cache.fill":0.375,"whole":3},"histograms":{"search.steps_per_run":{"count":2,"sum":1005,"min":5,"max":1000,"buckets":[[3,1],[10,1]]}}}"#,
-    r#"{"event":"metrics","counters":{},"gauges":{},"histograms":{}}"#,
+    r#"{"event":"metrics","counters":{"search.node_accesses":420,"search.steps":12345678901234567890},"histograms":{"search.steps_per_run":{"count":2,"sum":1005,"min":5,"max":1000,"buckets":[[3,1],[10,1]]}}}"#,
+    r#"{"event":"metrics","counters":{},"histograms":{}}"#,
     r#"{"event":"phases","phases":[{"path":"solve > restart[0]","calls":1,"steps":5,"wall_secs":0.0015},{"path":"solve","calls":2,"steps":0,"wall_secs":3}]}"#,
     r#"{"event":"phases","phases":[]}"#,
     r#"{"event":"explain_report","model":"acyclic","expected_solutions":0.015625,"edges":[{"a":0,"b":1,"predicate":"intersects","estimated_selectivity":0.0036},{"a":1,"b":2,"predicate":"intersects","estimated_selectivity":0.0000001}],"vars":[{"var":0,"cardinality":200,"avg_extent":0.03,"expected_window_hits":1.44,"predicted_accesses_per_query":3.5,"observed_accesses":0,"accesses_per_level":[0,0],"tree":{"height":2,"nodes":14,"avg_fill":0.9,"fill_per_level":[0.93,0.8125],"overlap_factor_per_level":[0.4,0],"dead_space_per_level":[0.3,1],"perimeter_per_level":[5.25,2]}},{"var":1,"cardinality":200,"avg_extent":0.03,"expected_window_hits":1.44,"predicted_accesses_per_query":3.5,"observed_accesses":0,"accesses_per_level":[0,0],"tree":{"height":2,"nodes":14,"avg_fill":0.9,"fill_per_level":[0.93,0.8125],"overlap_factor_per_level":[0.4,0],"dead_space_per_level":[0.3,1],"perimeter_per_level":[5.25,2]}}]}"#,
@@ -312,6 +313,26 @@ fn every_event_kind_writes_its_pinned_line() {
     for (line, golden) in lines.iter().zip(GOLDEN) {
         assert_eq!(line, golden);
     }
+}
+
+#[test]
+fn metrics_lines_with_the_retired_gauges_member_still_decode() {
+    // Files written before `metrics` dropped its `gauges` object carry it;
+    // the open-schema rule (unknown members are ignored) keeps them
+    // readable by `mwsj report`, `mwsj watch` and `mwsj-schema-check`.
+    let old =
+        r#"{"event":"metrics","counters":{"search.steps":7},"gauges":{"x":1},"histograms":{}}"#;
+    assert_eq!(schema::validate_line(old), Ok("metrics"));
+    let events = schema::parse_jsonl(old).unwrap();
+    assert_eq!(
+        events,
+        vec![RunEvent::Metrics {
+            snapshot: MetricsSnapshot {
+                counters: vec![("search.steps".into(), 7)],
+                histograms: Vec::new(),
+            },
+        }]
+    );
 }
 
 #[test]

@@ -208,7 +208,6 @@ impl Gen {
             11 => RunEvent::Metrics {
                 snapshot: MetricsSnapshot {
                     counters: self.vec(4, |g| (g.string(), g.u64())),
-                    gauges: self.vec(4, |g| (g.string(), g.f64())),
                     histograms: self.vec(3, |g| (g.string(), g.histogram())),
                 },
             },

@@ -12,7 +12,7 @@
 //! materialisation below it increments the counter (one access per node
 //! entered, the same policy as the query paths). `mwsj-core`'s
 //! branch-and-bound traversals keep their own per-run counters on the hot
-//! path and flush them into the metrics registry when a run finishes.
+//! path instead.
 
 use crate::access::AccessCounter;
 use crate::node::{NodeId, Payload};
